@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Benchmark the leave-one-out scoring kernel: compiled vs pure numpy.
+"""Benchmark the leave-one-out scoring kernel, `_core.loo_cv_batch`.
 
 The kernel is the hot path of hypothesis search (one call per candidate
-family per grid line). Shapes below mirror real search workloads: 60
+family per grid line). Shapes below mirror real search workloads: 59
 hypotheses on 5-point lines, and small candidate sets on 25-point grids.
 
 Usage: python benchmarks/bench_core.py [repeats]
@@ -13,12 +13,7 @@ import time
 
 import numpy as np
 
-from perfprior._core import _fallback, column_scaled
-
-try:
-    from perfprior._core import _fitcore
-except ImportError:
-    _fitcore = None
+from perfprior import _core
 
 
 def workloads(rng):
@@ -34,34 +29,20 @@ def workloads(rng):
     ]
 
 
-def bench(fn, a, y, repeats):
-    fn(a, y)  # warm up
+def bench(a, y, repeats):
+    _core.loo_cv_batch(a, y)  # warm up
     start = time.perf_counter()
     for _ in range(repeats):
-        fn(a, y)
+        _core.loo_cv_batch(a, y)
     return (time.perf_counter() - start) / repeats
 
 
 def main():
     repeats = int(sys.argv[1]) if len(sys.argv) > 1 else 200
     rng = np.random.default_rng(0)
-    backends = [("fallback", _fallback.loo_cv_batch)]
-    if _fitcore is not None:
-        backends.append(("compiled", _fitcore.loo_cv_batch))
-    else:
-        print("extension not built; benchmarking the fallback only")
-    print(f"{'workload':<32} " + " ".join(f"{name:>12}" for name, _ in backends)
-          + ("      speedup" if len(backends) == 2 else ""))
+    print(f"{'workload':<32} {'loo_cv_batch':>12}")
     for label, a, y in workloads(rng):
-        scaled, _ = column_scaled(a)
-        times = [bench(fn, scaled, y, repeats) for _, fn in backends]
-        scores = [fn(scaled, y)[0] for _, fn in backends]
-        if len(scores) == 2:
-            assert np.allclose(scores[0], scores[1], rtol=1e-9, atol=1e-12)
-        row = f"{label:<32} " + " ".join(f"{t * 1e6:>10.1f}us" for t in times)
-        if len(times) == 2:
-            row += f" {times[0] / times[1]:>11.1f}x"
-        print(row)
+        print(f"{label:<32} {bench(a, y, repeats) * 1e6:>10.1f}us")
 
 
 if __name__ == "__main__":

@@ -26,13 +26,11 @@ from .pmnf import (
     Term,
     default_exponent_sets,
     evaluate,
-    evaluate_basis,
     leading_exponents,
     render,
 )
 from .modeler import (
     FitResult,
-    Hypothesis,
     cv_score,
     exhaustive_oracle,
     fit_coefficients,

@@ -1,30 +1,21 @@
 """Numerical core: least-squares fitting and leave-one-out scoring.
 
-The scoring kernel is the hot path of hypothesis search; a compiled
-extension is used when available and a pure-numpy implementation otherwise.
-Set PERFPRIOR_NO_EXT=1 to force the fallback. Both paths share the exact
-SVD route used for final coefficients and for rank-deficient folds.
+Leave-one-out scoring is the hot path of hypothesis search. It solves the
+normal equations of every fold of every hypothesis in one batched numpy
+call; hypotheses whose folds are rank-deficient are rescored on the exact
+per-fold SVD route, which is also the one used for final coefficients.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from . import _fallback
+# Names the numerical path for reports that record it next to their figures.
+BACKEND = "numpy"
 
-if os.environ.get("PERFPRIOR_NO_EXT"):
-    _impl = _fallback
-    BACKEND = "fallback"
-else:
-    try:
-        from . import _fitcore as _impl  # type: ignore[no-redef]
-
-        BACKEND = "compiled"
-    except ImportError:
-        _impl = _fallback
-        BACKEND = "fallback"
+# Square of the smallest acceptable Cholesky pivot of a column-scaled
+# normal system; below this the fold is treated as rank-deficient.
+PIVOT_GUARD = 1e-10
 
 _REFINE_STEPS = 2
 
@@ -88,18 +79,63 @@ def loo_cv_slow(a: np.ndarray, y: np.ndarray) -> float:
     return total / n
 
 
+def _scores_from_solutions(a_stack, y, coef):
+    pred = np.einsum("hnk,hnk->hn", a_stack, coef)
+    denom = np.abs(y)[None, :] + np.abs(pred)
+    err = np.zeros_like(pred)
+    np.divide(np.abs(pred - y[None, :]), denom, out=err, where=denom > 0)
+    return err.mean(axis=1)
+
+
+def _loo_normal_equations(a_stack: np.ndarray, y: np.ndarray):
+    """Mean symmetric relative LOO error per hypothesis, from fold Grams.
+
+    a_stack: (H, N, k) column-scaled design matrices sharing the targets y.
+    Returns (scores, ok): a hypothesis whose fold systems fall below the
+    pivot guard is not ok, and its score is NaN.
+    """
+    h = a_stack.shape[0]
+    gram = a_stack.transpose(0, 2, 1) @ a_stack
+    rhs = np.einsum("hnk,n->hk", a_stack, y)
+    gram_folds = gram[:, None, :, :] - np.einsum("hni,hnj->hnij", a_stack, a_stack)
+    rhs_folds = rhs[:, None, :] - a_stack * y[None, :, None]
+    ok = np.ones(h, dtype=bool)
+    scores = np.full(h, np.nan)
+    try:
+        chol = np.linalg.cholesky(gram_folds)
+    except np.linalg.LinAlgError:
+        for hi in range(h):
+            try:
+                chol_h = np.linalg.cholesky(gram_folds[hi])
+            except np.linalg.LinAlgError:
+                ok[hi] = False
+                continue
+            if (np.diagonal(chol_h, axis1=-2, axis2=-1) ** 2).min() < PIVOT_GUARD:
+                ok[hi] = False
+                continue
+            coef = np.linalg.solve(gram_folds[hi], rhs_folds[hi][..., None])[..., 0]
+            scores[hi] = _scores_from_solutions(
+                a_stack[hi : hi + 1], y, coef[None]
+            )[0]
+        return scores, ok
+    pivots = np.diagonal(chol, axis1=-2, axis2=-1) ** 2
+    ok = pivots.reshape(h, -1).min(axis=1) >= PIVOT_GUARD
+    if ok.any():
+        coef = np.linalg.solve(gram_folds[ok], rhs_folds[ok][..., None])[..., 0]
+        scores[ok] = _scores_from_solutions(a_stack[ok], y, coef)
+    return scores, ok
+
+
 def loo_cv_batch(a_stack: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Leave-one-out scores for hypotheses sharing the same targets.
 
-    a_stack: (H, N, k) raw design matrices. Column scaling and the
-    rank-deficient rescue path are applied here so both backends see the
-    same prepared input.
+    a_stack: (H, N, k) raw design matrices. Columns are scaled to unit norm
+    first; hypotheses with rank-deficient folds are rescored exactly.
     """
     a_stack = np.ascontiguousarray(a_stack, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.float64)
     scaled, _ = column_scaled(a_stack)
-    scores, ok = _impl.loo_cv_batch(scaled, y)
-    if not np.all(ok):
-        for hi in np.nonzero(~np.asarray(ok))[0]:
-            scores[hi] = loo_cv_slow(scaled[hi], y)
+    scores, ok = _loo_normal_equations(scaled, y)
+    for hi in np.nonzero(~ok)[0]:
+        scores[hi] = loo_cv_slow(scaled[hi], y)
     return scores

@@ -233,6 +233,13 @@ def _fraction_arg(value: str) -> float:
     return f
 
 
+def _selection_arg(value: str) -> float:
+    f = float(value)
+    if not 0 < f <= 1:
+        raise argparse.ArgumentTypeError("must be in (0, 1]")
+    return f
+
+
 def _intensity_list(value: str) -> list[float]:
     try:
         return [float(v) for v in value.split(",") if v]
@@ -282,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", choices=PATTERN_NAMES, default="uniform")
     p.add_argument("--intensity", type=_fraction_arg, required=True,
                    help="noise intensity in percent (e.g. 50 for +50%%)")
-    p.add_argument("--selection", type=float, default=1.0,
+    p.add_argument("--selection", type=_selection_arg, default=1.0,
                    help="fraction of measurements perturbed")
     p.add_argument("--seed", type=_seed_arg, default=0)
     p.add_argument("--out", required=True)

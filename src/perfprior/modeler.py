@@ -42,18 +42,6 @@ from .pmnf import (
 
 SCORE_FLOOR = 1e-12
 
-PROVENANCE_SINGLE = "single_param"
-PROVENANCE_MULTI = "multi_param_candidate"
-PROVENANCE_PRIOR = "prior"
-
-
-@dataclass(frozen=True)
-class Hypothesis:
-    """A candidate structure together with where it came from."""
-
-    skeleton: Skeleton
-    provenance: str
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -117,58 +105,49 @@ def evaluate_hypothesis(skel: Skeleton, data: Mapping[Coordinate, float]) -> Fit
     return FitResult(coef, cv_score(skel, data), rss)
 
 
-def single_param_hypotheses(param: str) -> list[Hypothesis]:
+def single_param_hypotheses(param: str) -> list[Skeleton]:
     """The constant plus one skeleton {1, x^i log2^j(x)} per (i, j) != (0, 0)."""
     i_set, j_set = default_exponent_sets()
     names = (param,)
-    out = [Hypothesis(Skeleton(names, (constant_basis(1),)), PROVENANCE_SINGLE)]
+    out = [Skeleton(names, (constant_basis(1),))]
     for i in i_set:
         for j in j_set:
             if i == 0 and j == 0:
                 continue
-            skel = Skeleton(names, (constant_basis(1), BasisFunction(((i, j),))))
-            out.append(Hypothesis(skel, PROVENANCE_SINGLE))
+            out.append(Skeleton(names, (constant_basis(1), BasisFunction(((i, j),)))))
     return out
 
 
-def _score_single_stack(x: np.ndarray, hyps: Sequence[Hypothesis]) -> list[np.ndarray]:
-    """Design matrices of the single-parameter family, grouped by size."""
-    logs = np.log2(x)
-    ones = np.ones_like(x)
-    singles = []
-    for h in hyps:
-        if h.skeleton.size == 1:
-            continue
-        (i, j) = h.skeleton.bases[1].exponents[0]
-        col = ones.copy()
-        if i:
-            col = col * x ** float(i)
-        if j:
-            col = col * logs**j
-        singles.append(np.stack([ones, col], axis=1))
-    return [ones[None, :, None], np.array(singles)]
-
-
-def _scores_for_lines(
-    x: np.ndarray, hyps: Sequence[Hypothesis], ys: Sequence[np.ndarray]
+def _loo_scores(
+    coords: np.ndarray, skels: Sequence[Skeleton], ys: Sequence[np.ndarray]
 ) -> np.ndarray:
-    """Score every hypothesis on every line sharing the x values."""
-    const_stack, term_stack = _score_single_stack(x, hyps)
-    scores = np.empty((len(hyps), len(ys)))
+    """Score every skeleton on every target vector sharing the coordinates.
+
+    Skeletons of one size share a stack, so each target costs one batched
+    LOO call per size.
+    """
+    by_size: dict[int, list[int]] = {}
+    for idx, skel in enumerate(skels):
+        by_size.setdefault(skel.size, []).append(idx)
+    stacks = []
+    for idxs in by_size.values():
+        stack = np.stack([design_matrix(skels[idx], coords) for idx in idxs])
+        stacks.append((np.array(idxs), stack))
+    scores = np.empty((len(skels), len(ys)))
     for col, y in enumerate(ys):
-        scores[0, col] = _core.loo_cv_batch(const_stack, y)[0]
-        scores[1:, col] = _core.loo_cv_batch(term_stack, y)
+        for idxs, stack in stacks:
+            scores[idxs, col] = _core.loo_cv_batch(stack, y)
     return scores
 
 
 def _select(
-    hyps: Sequence[Hypothesis], scores: Sequence[float]
-) -> tuple[Hypothesis, float]:
+    skels: Sequence[Skeleton], scores: Sequence[float]
+) -> tuple[Skeleton, float]:
     best = min(
-        range(len(hyps)),
-        key=lambda idx: (_snap(scores[idx]), _skeleton_key(hyps[idx].skeleton)),
+        range(len(skels)),
+        key=lambda idx: (_snap(scores[idx]), _skeleton_key(skels[idx])),
     )
-    return hyps[best], _snap(scores[best])
+    return skels[best], _snap(scores[best])
 
 
 def search_single(data: Mapping[Coordinate, float], param: str) -> PmnfModel:
@@ -180,10 +159,10 @@ def search_single(data: Mapping[Coordinate, float], param: str) -> PmnfModel:
     if len(np.unique(x)) < 3:
         raise InsufficientDataError("need at least 3 distinct parameter values")
     hyps = single_param_hypotheses(param)
-    scores = _scores_for_lines(x, hyps, [y])[:, 0]
+    scores = _loo_scores(coords, hyps, [y])[:, 0]
     winner, _ = _select(hyps, scores)
-    coef, _ = fit_coefficients(winner.skeleton, data)
-    return model_from_skeleton(winner.skeleton, coef)
+    coef, _ = fit_coefficients(winner, data)
+    return model_from_skeleton(winner, coef)
 
 
 def _line_views(
@@ -215,7 +194,7 @@ def _combine_exponents(
 
 def _multi_candidates(
     space: ParameterSpace, best_terms: Mapping[int, tuple[Expo, ...]]
-) -> list[Hypothesis]:
+) -> list[Skeleton]:
     """All skeletons over products of per-parameter best terms, <= m+1 bases."""
     m = space.m
     axes = sorted(best_terms)
@@ -228,9 +207,7 @@ def _multi_candidates(
     for count in range(0, m + 1):
         for chosen in itertools.combinations(products, count):
             bases = (const,) + tuple(BasisFunction(e) for e in chosen)
-            candidates.append(
-                Hypothesis(Skeleton(space.names, bases), PROVENANCE_MULTI)
-            )
+            candidates.append(Skeleton(space.names, bases))
     return candidates
 
 
@@ -244,31 +221,23 @@ def search_multi(data: Mapping[Coordinate, float], space: ParameterSpace) -> Pmn
     best_terms: dict[int, tuple[Expo, ...]] = {}
     for axis in range(space.m):
         hyps = single_param_hypotheses(space.names[axis])
-        x = np.array(space.values[axis])
+        axis_coords = np.array(space.values[axis], dtype=float)[:, None]
         lines = _line_views(space, data, axis)
-        line_scores = _scores_for_lines(x, hyps, lines)
+        line_scores = _loo_scores(axis_coords, hyps, lines)
         line_scores[line_scores < SCORE_FLOOR] = 0.0
         winner, _ = _select(hyps, line_scores.mean(axis=1))
-        if winner.skeleton.size > 1:
-            (i, j) = winner.skeleton.bases[1].exponents[0]
+        if winner.size > 1:
+            (i, j) = winner.bases[1].exponents[0]
             exps: list[Expo] = [(Fraction(0), 0)] * space.m
             exps[axis] = (i, j)
             best_terms[axis] = tuple(exps)
 
     candidates = _multi_candidates(space, best_terms)
     coords, y = _ordered(data)
-    scores = np.empty(len(candidates))
-    by_size: dict[int, list[int]] = {}
-    for idx, cand in enumerate(candidates):
-        by_size.setdefault(cand.skeleton.size, []).append(idx)
-    for size, idxs in by_size.items():
-        stack = np.stack(
-            [design_matrix(candidates[idx].skeleton, coords) for idx in idxs]
-        )
-        scores[idxs] = _core.loo_cv_batch(stack, y)
+    scores = _loo_scores(coords, candidates, [y])[:, 0]
     winner, _ = _select(candidates, scores)
-    coef, _ = fit_coefficients(winner.skeleton, data)
-    return model_from_skeleton(winner.skeleton, coef)
+    coef, _ = fit_coefficients(winner, data)
+    return model_from_skeleton(winner, coef)
 
 
 def search(data: Mapping[Coordinate, float], space: ParameterSpace) -> PmnfModel:

@@ -47,6 +47,10 @@ class NoisePattern:
             raise ValidationError(f"unknown noise pattern {self.kind!r}")
         if not self.a <= self.b:
             raise ValidationError("pattern bounds require a <= b")
+        # |N(mu, sigma)| is rejection-sampled into [a, b]: a region of zero
+        # measure would never accept a draw
+        if self.kind == "truncated_normal" and self.b <= max(self.a, 0.0):
+            raise ValidationError("truncated_normal requires b > max(a, 0)")
 
 
 @dataclass(frozen=True)

@@ -216,23 +216,6 @@ def evaluate(model: PmnfModel, at: Sequence[float]) -> float:
     return float(total)
 
 
-def evaluate_basis(skel: Skeleton, at: Sequence[float]) -> np.ndarray:
-    """One value per basis function at a coordinate; constant gives 1."""
-    _check_coordinate(at, len(skel.space_names))
-    out = np.empty(len(skel.bases))
-    for c, b in enumerate(skel.bases):
-        v = 1.0
-        for x, (i, j) in zip(at, b.exponents):
-            if i:
-                v *= float(x) ** float(i)
-            if j:
-                v *= np.log2(x) ** j
-        if b.ranks_fraction is not None:
-            v *= _factor_value(at, skel.space_names, b.ranks_fraction)
-        out[c] = v
-    return out
-
-
 def design_matrix(skel: Skeleton, coords: np.ndarray) -> np.ndarray:
     """Design matrix (one row per coordinate) for fitting the skeleton."""
     coords = np.asarray(coords, dtype=float)

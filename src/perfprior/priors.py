@@ -44,6 +44,7 @@ from .pmnf import (
     PmnfModel,
     Skeleton,
     constant_basis,
+    skeleton_from_model,
 )
 
 INT_SIZE = 4
@@ -60,18 +61,7 @@ class CommPrior:
 
 def derive_computation_prior(bb_model: PmnfModel) -> Skeleton:
     """Constant basis plus one basis per basic-block-model term."""
-    n = len(bb_model.space_names)
-    bases = [constant_basis(n)]
-    labels = [GENERIC]
-    seen = {bases[0].signature()}
-    for term in sorted(bb_model.terms, key=lambda t: t.signature()):
-        b = BasisFunction(term.exponents, term.ranks_fraction)
-        if b.signature() in seen:
-            continue
-        seen.add(b.signature())
-        bases.append(b)
-        labels.append(GENERIC)
-    return Skeleton(bb_model.space_names, tuple(bases), tuple(labels))
+    return skeleton_from_model(bb_model)
 
 
 def derive_communication_prior(

@@ -169,6 +169,19 @@ class TestInject:
         assert outs[0] == outs[1]
         assert outs[0] != experiment_file.read_bytes()
 
+    @pytest.mark.parametrize("selection", ["0", "1.5", "nan"])
+    def test_selection_out_of_range_exits_2(
+        self, experiment_file, tmp_path, capsys, selection
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                ["inject", "--experiment", str(experiment_file),
+                 "--intensity", "50", "--selection", selection,
+                 "--out", str(tmp_path / "noisy.json")]
+            )
+        assert exc.value.code == 2
+        assert "(0, 1]" in capsys.readouterr().err
+
 
 class TestCost:
     def test_two_params(self, capsys):

@@ -79,13 +79,13 @@ class TestHypothesisFamily:
     def test_sixty_hypotheses(self):
         hyps = single_param_hypotheses("x")
         assert len(hyps) == 60
-        assert sum(1 for h in hyps if h.skeleton.size == 1) == 1
+        assert sum(1 for h in hyps if h.size == 1) == 1
 
     def test_contains_four_fifths(self):
         hyps = single_param_hypotheses("x")
         wanted = ((F(4, 5), 0),)
         assert any(
-            h.skeleton.size == 2 and h.skeleton.bases[1].exponents == wanted
+            h.size == 2 and h.bases[1].exponents == wanted
             for h in hyps
         )
 
@@ -93,7 +93,7 @@ class TestHypothesisFamily:
         hyps = single_param_hypotheses("x")
         wanted = ((F(0), 2),)
         assert any(
-            h.skeleton.size == 2 and h.skeleton.bases[1].exponents == wanted
+            h.size == 2 and h.bases[1].exponents == wanted
             for h in hyps
         )
 

@@ -14,8 +14,8 @@ from perfprior.pmnf import (
     Term,
     constant_basis,
     default_exponent_sets,
+    design_matrix,
     evaluate,
-    evaluate_basis,
     leading_exponents,
     model_from_skeleton,
     render,
@@ -69,6 +69,11 @@ class TestEvaluate:
             )
 
 
+def basis_row(skel, at):
+    """Basis values at one coordinate: a one-row design matrix."""
+    return design_matrix(skel, np.array([at]))[0]
+
+
 class TestEvaluateBasis:
     def test_with_ranks_fraction(self):
         skel = Skeleton(
@@ -79,26 +84,26 @@ class TestEvaluateBasis:
                 BasisFunction(((F(1), 0), (F(1), 0)), ranks_fraction="p"),
             ),
         )
-        values = evaluate_basis(skel, (4.0, 10.0))
+        values = basis_row(skel, (4.0, 10.0))
         assert values.tolist() == [1.0, 2.0, 30.0]
 
     def test_constant_only(self):
         skel = Skeleton(("x",), (constant_basis(1),))
-        assert evaluate_basis(skel, (9.0,)).tolist() == [1.0]
+        assert basis_row(skel, (9.0,)).tolist() == [1.0]
 
     def test_product_basis(self):
         skel = Skeleton(
             ("p", "n"),
             (constant_basis(2), BasisFunction(((F(1), 0), (F(1), 0)))),
         )
-        assert evaluate_basis(skel, (2.0, 3.0)).tolist() == [1.0, 6.0]
+        assert basis_row(skel, (2.0, 3.0)).tolist() == [1.0, 6.0]
 
     def test_constant_is_one_everywhere(self):
         skel = Skeleton(("x",), (constant_basis(1), BasisFunction(((F(2), 1),))))
         rng = np.random.default_rng(0)
         for _ in range(20):
             at = (float(rng.uniform(1, 1e6)),)
-            assert evaluate_basis(skel, at)[0] == 1.0
+            assert basis_row(skel, at)[0] == 1.0
 
 
 class TestLeadingExponents:
