@@ -30,9 +30,7 @@ from .pmnf import (
     render,
 )
 from .modeler import (
-    FitResult,
     cv_score,
-    exhaustive_oracle,
     fit_coefficients,
     fit_skeleton_to_time,
     search_multi,

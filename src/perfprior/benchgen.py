@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Sequence
 
@@ -40,6 +40,12 @@ from .dataset import (
     MetricSeries,
     MpiOp,
     ParameterSpace,
+    read_document,
+    require_keys,
+    require_list,
+    space_from_dict,
+    space_to_dict,
+    write_document,
 )
 from .errors import ParseError, ValidationError
 from .pmnf import Expo, default_exponent_sets, leading_from_terms
@@ -96,8 +102,8 @@ class KernelSpec:
         )
         if self.mpi_op is not None:
             object.__setattr__(self, "mpi_op", MpiOp(self.mpi_op))
-        if not self.name:
-            raise ValidationError("kernel name must be non-empty")
+        if not isinstance(self.name, str) or not self.name:
+            raise ValidationError("kernel name must be a non-empty string")
         if self.loop_arrangement not in ("nested", "sequential"):
             raise ValidationError(
                 f"unknown loop arrangement {self.loop_arrangement!r}"
@@ -740,7 +746,7 @@ def _expo_to_json(exps: Sequence[Expo]) -> list:
 
 
 def _expo_from_json(raw, m: int, where: str) -> tuple[Expo, ...]:
-    if len(raw) != m:
+    if len(require_list(raw, where)) != m:
         raise ParseError(f"{where}: expected {m} exponent pairs")
     return tuple((Fraction(i), int(j)) for i, j in raw)
 
@@ -750,10 +756,7 @@ def spec_to_dict(spec: BenchmarkSpec) -> dict:
         "format_version": SPEC_FORMAT_VERSION,
         "seed": spec.seed,
         "ranks_param": spec.ranks_param,
-        "parameters": [
-            {"name": n, "values": list(vs)}
-            for n, vs in zip(spec.space.names, spec.space.values)
-        ],
+        "parameters": space_to_dict(spec.space),
         "kernels": [
             {
                 "name": k.name,
@@ -778,101 +781,50 @@ def spec_to_dict(spec: BenchmarkSpec) -> dict:
     }
 
 
-def spec_from_dict(doc: dict) -> BenchmarkSpec:
-    if not isinstance(doc, dict):
-        raise ParseError("benchmark spec document must be an object")
-    keys = [
-        "format_version",
-        "seed",
-        "ranks_param",
-        "parameters",
-        "kernels",
-    ]
-    unknown = set(doc) - set(keys)
-    if unknown:
-        raise ParseError(f"unknown key {sorted(unknown)[0]!r} in benchmark spec")
-    missing = set(keys) - set(doc)
-    if missing:
-        raise ParseError(f"missing key {sorted(missing)[0]!r} in benchmark spec")
+def _kernel_from_dict(k, m: int) -> KernelSpec:
+    # the file's kernel keys are exactly KernelSpec's fields, all required
+    require_keys(k, "kernel", [f.name for f in fields(KernelSpec)])
+    terms = []
+    for t in require_list(k["computation_terms"], "computation_terms"):
+        require_keys(t, "computation term", ["exponents", "coefficient"])
+        expos = _expo_from_json(t["exponents"], m, "computation term")
+        terms.append((ComplexityTerm(expos), float(t["coefficient"])))
+    message = k["message_elems_term"]
+    if message is not None:
+        message = ComplexityTerm(_expo_from_json(message, m, "message_elems_term"))
+    return KernelSpec(
+        name=k["name"],
+        computation_terms=tuple(terms),
+        loop_arrangement=k["loop_arrangement"],
+        mpi_op=k["mpi_op"],
+        message_elems_term=message,
+        message_elems_base=int(k["message_elems_base"]),
+        elem_size=int(k["elem_size"]),
+        true_alpha=float(k["true_alpha"]),
+        true_beta=float(k["true_beta"]),
+        true_gamma=float(k["true_gamma"]),
+        bb_per_iteration=int(k["bb_per_iteration"]),
+    )
+
+
+def spec_from_dict(doc) -> BenchmarkSpec:
+    keys = ["format_version", "seed", "ranks_param", "parameters", "kernels"]
+    require_keys(doc, "benchmark spec", keys)
     if doc["format_version"] != SPEC_FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {doc['format_version']!r}")
-    names, values = [], []
-    for p in doc["parameters"]:
-        unknown = set(p) - {"name", "values"}
-        if unknown:
-            raise ParseError(f"unknown key {sorted(unknown)[0]!r} in parameter")
-        names.append(p["name"])
-        values.append(tuple(p["values"]))
-    space = ParameterSpace(tuple(names), tuple(values))
-    kernel_keys = {
-        "name",
-        "loop_arrangement",
-        "computation_terms",
-        "mpi_op",
-        "message_elems_term",
-        "message_elems_base",
-        "elem_size",
-        "true_alpha",
-        "true_beta",
-        "true_gamma",
-        "bb_per_iteration",
-    }
-    kernels = []
-    for k in doc["kernels"]:
-        unknown = set(k) - kernel_keys
-        if unknown:
-            raise ParseError(f"unknown key {sorted(unknown)[0]!r} in kernel")
-        for t in k["computation_terms"]:
-            extra = set(t) - {"exponents", "coefficient"}
-            if extra:
-                raise ParseError(
-                    f"unknown key {sorted(extra)[0]!r} in computation term"
-                )
-        terms = tuple(
-            (
-                ComplexityTerm(
-                    _expo_from_json(t["exponents"], space.m, k.get("name", "kernel"))
-                ),
-                float(t["coefficient"]),
-            )
-            for t in k["computation_terms"]
-        )
-        message = k.get("message_elems_term")
-        kernels.append(
-            KernelSpec(
-                name=k["name"],
-                computation_terms=terms,
-                loop_arrangement=k["loop_arrangement"],
-                mpi_op=None if k.get("mpi_op") is None else MpiOp(k["mpi_op"]),
-                message_elems_term=None
-                if message is None
-                else ComplexityTerm(_expo_from_json(message, space.m, k["name"])),
-                message_elems_base=int(k.get("message_elems_base", 1)),
-                elem_size=int(k["elem_size"]),
-                true_alpha=float(k["true_alpha"]),
-                true_beta=float(k["true_beta"]),
-                true_gamma=float(k["true_gamma"]),
-                bb_per_iteration=int(k["bb_per_iteration"]),
-            )
-        )
+    space = space_from_dict(doc["parameters"])
+    kernels = require_list(doc["kernels"], "kernels")
     return BenchmarkSpec(
         seed=int(doc["seed"]),
         space=space,
-        kernels=tuple(kernels),
+        kernels=tuple(_kernel_from_dict(k, space.m) for k in kernels),
         ranks_param=doc["ranks_param"],
     )
 
 
 def save_spec(spec: BenchmarkSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(spec_to_dict(spec), fh, indent=1)
-        fh.write("\n")
+    write_document(spec_to_dict(spec), path)
 
 
 def load_spec(path) -> BenchmarkSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-    return spec_from_dict(doc)
+    return read_document(path, spec_from_dict)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import benchgen, evaluation
-from .dataset import load_experiment, save_experiment
+from .dataset import load_experiment, save_experiment, write_document
 from .errors import (
     InsufficientDataError,
     ModelingError,
@@ -33,12 +33,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_MODELING = 4
-
-
-def _write_json(doc: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 def _model_report(models, exp) -> dict:
@@ -126,7 +120,7 @@ def cmd_model(args) -> int:
     report = _model_report(models, exp)
     report["pipeline"] = args.pipeline
     if args.out:
-        _write_json(report, args.out)
+        write_document(report, args.out, sort_keys=True)
     if args.format == "machine":
         print(json.dumps(report, indent=1, sort_keys=True))
     elif exp.callpaths:
@@ -155,7 +149,7 @@ def _study_reference(spec, exp):
 
 def _print_study(table, args) -> None:
     if args.out:
-        _write_json(table.to_dict(), args.out)
+        write_document(table.to_dict(), args.out, sort_keys=True)
     if args.format == "machine":
         print(json.dumps(table.to_dict(), indent=1, sort_keys=True))
     else:
@@ -347,10 +341,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, IsADirectoryError, PermissionError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (ParseError, ValidationError) as exc:
+    except (OSError, ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ModelingError, InsufficientDataError) as exc:

@@ -8,6 +8,9 @@ Measurements live in base units (seconds, counts, bytes). Coordinates are
 matched by exact numeric equality, so producers must emit exactly
 representable values. Everything here is immutable after construction and
 all operations are pure functions.
+
+This module also holds the one JSON document reader and writer: benchmark
+spec files go through the same key, type and conversion checks.
 """
 
 from __future__ import annotations
@@ -63,8 +66,8 @@ class ParameterSpace:
         )
         if not self.names:
             raise ValidationError("parameter space needs at least one parameter")
-        if any(not n for n in self.names):
-            raise ValidationError("parameter names must be non-empty")
+        if any(not isinstance(n, str) or not n for n in self.names):
+            raise ValidationError("parameter names must be non-empty strings")
         if len(set(self.names)) != len(self.names):
             raise ValidationError("parameter names must be unique")
         if len(self.values) != len(self.names):
@@ -98,8 +101,8 @@ class CallPath:
     mpi_op: MpiOp | None = None
 
     def __post_init__(self):
-        if not self.name:
-            raise ValidationError("call path name must be non-empty")
+        if not isinstance(self.name, str) or not self.name:
+            raise ValidationError("call path name must be a non-empty string")
         if self.kind not in (KIND_COMPUTATION, KIND_COMMUNICATION):
             raise ValidationError(f"unknown call path kind {self.kind!r}")
         if self.mpi_op is not None:
@@ -183,15 +186,17 @@ class ExperimentSet:
                     raise ValidationError(
                         f"metric key {metric!r} does not match series {series.metric!r}"
                     )
+                if any(len(coord) != self.space.m for coord in series.data):
+                    raise ValidationError(
+                        f"coordinate length mismatch for {cp.name!r}/{metric}: "
+                        f"expected {self.space.m} values"
+                    )
                 coords = set(series.data)
                 if coords != grid:
                     raise ValidationError(
                         f"incomplete grid for {cp.name!r}/{metric}: "
                         f"{len(coords)} of {len(grid)} coordinates"
                     )
-                for coord in series.data:
-                    if len(coord) != self.space.m:
-                        raise ValidationError("coordinate length mismatch")
             # Effort metrics (basic blocks for computation, bytes for
             # communication) are expected but only enforced where used, so
             # time-only experiments remain loadable for classic modeling.
@@ -235,23 +240,51 @@ def subset_repetitions(series: MetricSeries, indices: Iterable[int]) -> MetricSe
     return MetricSeries(series.metric, data, tuple(series.rep_ids[i] for i in idx))
 
 
-def _require_keys(obj: dict, where: str, required: Sequence[str], optional: Sequence[str] = ()):
+def require_keys(
+    obj, where: str, required: Sequence[str], optional: Sequence[str] = ()
+) -> dict:
+    """Check that obj is an object with exactly the allowed keys; return it."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where} must be an object")
     unknown = set(obj) - set(required) - set(optional)
     if unknown:
         raise ParseError(f"unknown key {sorted(unknown)[0]!r} in {where}")
     missing = set(required) - set(obj)
     if missing:
         raise ParseError(f"missing key {sorted(missing)[0]!r} in {where}")
+    return obj
+
+
+def require_list(obj, where: str) -> list:
+    """Check that obj is a list; return it."""
+    if not isinstance(obj, list):
+        raise ParseError(f"{where} must be a list")
+    return obj
+
+
+def space_to_dict(space: ParameterSpace) -> list:
+    """Plain-data form of the `parameters` block."""
+    return [
+        {"name": n, "values": list(vs)} for n, vs in zip(space.names, space.values)
+    ]
+
+
+def space_from_dict(raw) -> ParameterSpace:
+    params = [
+        require_keys(p, "parameter", ["name", "values"])
+        for p in require_list(raw, "parameters")
+    ]
+    return ParameterSpace(
+        tuple(p["name"] for p in params),
+        tuple(tuple(require_list(p["values"], "parameter values")) for p in params),
+    )
 
 
 def experiment_to_dict(exp: ExperimentSet) -> dict:
     """Plain-data form of an experiment (canonical coordinate order)."""
     doc = {
         "format_version": FORMAT_VERSION,
-        "parameters": [
-            {"name": n, "values": list(vs)}
-            for n, vs in zip(exp.space.names, exp.space.values)
-        ],
+        "parameters": space_to_dict(exp.space),
         "callpaths": [],
     }
     grid = exp.space.grid()
@@ -270,48 +303,61 @@ def experiment_to_dict(exp: ExperimentSet) -> dict:
     return doc
 
 
-def experiment_from_dict(doc: dict) -> ExperimentSet:
-    if not isinstance(doc, dict):
-        raise ParseError("experiment document must be an object")
-    _require_keys(doc, "experiment", ["format_version", "parameters", "callpaths"])
+def experiment_from_dict(doc) -> ExperimentSet:
+    require_keys(doc, "experiment", ["format_version", "parameters", "callpaths"])
     if doc["format_version"] != FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {doc['format_version']!r}")
-    names, values = [], []
-    for p in doc["parameters"]:
-        _require_keys(p, "parameter", ["name", "values"])
-        names.append(p["name"])
-        values.append(tuple(p["values"]))
-    space = ParameterSpace(tuple(names), tuple(values))
+    space = space_from_dict(doc["parameters"])
     callpaths = []
-    for c in doc["callpaths"]:
-        _require_keys(c, "callpath", ["name", "kind", "metrics"], ["mpi_op"])
+    for c in require_list(doc["callpaths"], "callpaths"):
+        require_keys(c, "callpath", ["name", "kind", "metrics"], ["mpi_op"])
         cp = CallPath(c["name"], c["kind"], c.get("mpi_op"))
         metrics = {}
-        for metric, records in c["metrics"].items():
+        raw_metrics = require_keys(c["metrics"], "metrics", (), _METRICS)
+        for metric, records in raw_metrics.items():
             data = {}
-            for rec in records:
-                _require_keys(rec, "measurement", ["coordinate", "repetitions"])
-                coord = tuple(float(v) for v in rec["coordinate"])
+            for rec in require_list(records, "metric series"):
+                require_keys(rec, "measurement", ["coordinate", "repetitions"])
+                raw_coord = require_list(rec["coordinate"], "coordinate")
+                coord = tuple(float(v) for v in raw_coord)
                 if coord in data:
                     raise ParseError(f"duplicate coordinate {coord} in {cp.name!r}")
-                data[coord] = tuple(rec["repetitions"])
+                data[coord] = tuple(require_list(rec["repetitions"], "repetitions"))
             metrics[metric] = MetricSeries(metric, data)
         callpaths.append((cp, metrics))
     return ExperimentSet(space, tuple(callpaths))
 
 
-def save_experiment(exp: ExperimentSet, path) -> None:
-    """Write an experiment file; numbers keep full round-trip precision."""
+def write_document(doc: dict, path, sort_keys: bool = False) -> None:
+    """Write a JSON document; numbers keep full round-trip precision."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(experiment_to_dict(exp), fh, indent=1)
+        json.dump(doc, fh, indent=1, sort_keys=sort_keys)
         fh.write("\n")
+
+
+def read_document(path, from_dict):
+    """Decode a JSON file and convert it with from_dict.
+
+    Decoding and conversion failures (bad JSON, nesting too deep for the
+    decoder, wrong types, bad literals) become a ParseError naming the
+    file; a ValidationError passes through unchanged.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return from_dict(json.load(fh))
+    except ValidationError:
+        raise
+    except (
+        ValueError, TypeError, ZeroDivisionError, OverflowError, RecursionError
+    ) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def save_experiment(exp: ExperimentSet, path) -> None:
+    """Write an experiment file."""
+    write_document(experiment_to_dict(exp), path)
 
 
 def load_experiment(path) -> ExperimentSet:
     """Read and validate an experiment file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-    return experiment_from_dict(doc)
+    return read_document(path, experiment_from_dict)

@@ -202,6 +202,31 @@ def _derived_seed(seed: int, *path: int) -> int:
     return int(np.random.SeedSequence([seed, *path]).generate_state(1)[0])
 
 
+def _run_cells(cell_fn, cells: list, jobs: int) -> list:
+    """Run every study cell, in a process pool when jobs > 1 (same order)."""
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(cell_fn, cells))
+    return [cell_fn(c) for c in cells]
+
+
+def _study_row(
+    level: float, pattern: str, metrics: Sequence[tuple[float, float]]
+) -> StudyRow:
+    """Mean and spread of (ED, RE) over one cell's trials."""
+    eds = np.array([m[0] for m in metrics])
+    res = np.array([m[1] for m in metrics])
+    return StudyRow(
+        level=float(level),
+        pattern=pattern,
+        mean_ed=float(eds.mean()),
+        std_ed=float(eds.std()),
+        mean_re_pct=float(res.mean()),
+        std_re_pct=float(res.std()),
+        trials=len(metrics),
+    )
+
+
 def _noise_cell(args) -> list[tuple[float, float]]:
     (exp, truth, pattern, intensity, trials, seed, cell, pipeline, ranks,
      test_point, reference, selection) = args
@@ -247,29 +272,14 @@ def noise_robustness_study(
             itertools.product(intensities, patterns)
         )
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_noise_cell, cells))
-    else:
-        results = [_noise_cell(c) for c in cells]
-    rows = []
-    for (intensity, pattern), metrics in zip(
-        itertools.product(intensities, patterns), results
-    ):
-        eds = np.array([m[0] for m in metrics])
-        res = np.array([m[1] for m in metrics])
-        rows.append(
-            StudyRow(
-                level=float(intensity),
-                pattern=pattern,
-                mean_ed=float(eds.mean()),
-                std_ed=float(eds.std()),
-                mean_re_pct=float(res.mean()),
-                std_re_pct=float(res.std()),
-                trials=trials,
-            )
+    results = _run_cells(_noise_cell, cells, jobs)
+    rows = tuple(
+        _study_row(intensity, pattern, metrics)
+        for (intensity, pattern), metrics in zip(
+            itertools.product(intensities, patterns), results
         )
-    return StudyTable("noise", pipeline, tuple(rows))
+    )
+    return StudyTable("noise", pipeline, rows)
 
 
 def _subsets(r: int, k: int, seed: int, limit: int) -> list[tuple[int, ...]]:
@@ -331,24 +341,8 @@ def repetition_study(
          max_subsets)
         for k in range(1, r + 1)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_reps_cell, cells))
-    else:
-        results = [_reps_cell(c) for c in cells]
-    rows = []
-    for k, metrics in zip(range(1, r + 1), results):
-        eds = np.array([m[0] for m in metrics])
-        res = np.array([m[1] for m in metrics])
-        rows.append(
-            StudyRow(
-                level=float(k),
-                pattern="-",
-                mean_ed=float(eds.mean()),
-                std_ed=float(eds.std()),
-                mean_re_pct=float(res.mean()),
-                std_re_pct=float(res.std()),
-                trials=len(metrics),
-            )
-        )
-    return StudyTable("repetitions", pipeline, tuple(rows))
+    results = _run_cells(_reps_cell, cells, jobs)
+    rows = tuple(
+        _study_row(k, "-", metrics) for k, metrics in zip(range(1, r + 1), results)
+    )
+    return StudyTable("repetitions", pipeline, rows)

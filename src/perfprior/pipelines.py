@@ -23,7 +23,7 @@ def classic_models(exp: ExperimentSet) -> dict[str, PmnfModel]:
         try:
             data = aggregate(metrics[METRIC_TIME], "median")
             models[cp.name] = search(data, exp.space)
-        except (InsufficientDataError, KeyError) as exc:
+        except (InsufficientDataError, ModelingError, KeyError) as exc:
             raise ModelingError(f"classic modeling failed for {cp.name!r}: {exc}")
     return models
 
@@ -36,9 +36,7 @@ def swc_models(
     for cp, _ in exp.callpaths:
         try:
             models[cp.name] = build_swc_model(exp, cp, ranks_param)
-        except ModelingError:
-            raise
-        except (InsufficientDataError, KeyError) as exc:
+        except (InsufficientDataError, ModelingError, KeyError) as exc:
             raise ModelingError(f"SWC modeling failed for {cp.name!r}: {exc}")
     return models
 

@@ -1,12 +1,20 @@
 """Shared builders for tests: spaces, hand-made specs, and models."""
 
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from perfprior.benchgen import BenchmarkSpec, ComplexityTerm, KernelSpec
 from perfprior.dataset import MpiOp, ParameterSpace
 from perfprior.pmnf import PmnfModel, Term
+
+# At collection, hypothesis's pytest plugin caches constants of the source
+# modules under its home directory, ./.hypothesis by default, whatever a
+# test's database setting. Keep that cache out of the working tree.
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "perfprior-hypothesis")
 
 
 def space_pn() -> ParameterSpace:

@@ -17,6 +17,7 @@ import pytest
 
 import perfprior
 from conftest import model_from_expos
+from oracle import exhaustive_oracle
 from perfprior.benchgen import (
     random_spec,
     simulate_measurements,
@@ -33,7 +34,6 @@ from perfprior.evaluation import (
 )
 from perfprior.modeler import (
     cv_score,
-    exhaustive_oracle,
     search_multi,
     search_single,
 )

@@ -275,6 +275,18 @@ class TestKernelSpecInvariants:
                 message_elems_term=None,
             )
 
+    def test_name_must_be_a_string(self):
+        from perfprior.benchgen import ComplexityTerm, KernelSpec
+
+        with pytest.raises(ValidationError, match="string"):
+            KernelSpec(
+                name=7,
+                computation_terms=((ComplexityTerm(((F(1), 0),)), 1.0),),
+                loop_arrangement="nested",
+                mpi_op=None,
+                message_elems_term=None,
+            )
+
     def test_positive_coefficients_required(self):
         from perfprior.benchgen import ComplexityTerm, KernelSpec
 

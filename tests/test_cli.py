@@ -1,11 +1,23 @@
+import copy
+import io
 import json
+import signal
+from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fig2_spec
-from perfprior.benchgen import save_spec
+from perfprior.benchgen import (
+    random_spec,
+    save_spec,
+    simulate_measurements,
+    spec_to_dict,
+)
 from perfprior.cli import main
-from perfprior.dataset import load_experiment
+from perfprior.dataset import experiment_to_dict, load_experiment
 
 
 def run(capsys, *argv):
@@ -143,6 +155,26 @@ class TestModel:
         assert json.loads(stdout)["pipeline"] == "swc"
 
 
+    @pytest.mark.parametrize("pipeline", ["classic", "swc"])
+    def test_non_finite_coefficients_exit_4_naming_callpath(
+        self, tmp_path, capsys, pipeline
+    ):
+        # the median of two 1e308 repetitions overflows to inf
+        exp = simulate_measurements(random_spec(0, 1, 1), reps=4)
+        doc = experiment_to_dict(exp)
+        record = doc["callpaths"][0]["metrics"]["time_s"][2]
+        record["repetitions"] = [1e308] * 4
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(
+            capsys, "model", "--experiment", str(path), "--pipeline", pipeline,
+        )
+        assert code == 4
+        # numpy may warn about the overflow first; the error is one line
+        (line,) = [line for line in err.splitlines() if line.startswith("error:")]
+        assert "k00/compute" in line and "non-finite" in line
+
+
 class TestInject:
     def test_zero_intensity_output_equals_input(
         self, experiment_file, tmp_path, capsys
@@ -236,3 +268,169 @@ class TestStudies:
         doc = json.loads(out.read_text())
         assert [r["level"] for r in doc["rows"]] == [1.0, 2.0, 3.0]
         assert all(r["std_ed"] == 0.0 for r in doc["rows"])
+
+
+DELETE = object()
+
+
+def _mutated(doc, path, value):
+    """Copy of doc with the node at path deleted or replaced by value."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+KERNEL = ("kernels", 0)
+TERM = KERNEL + ("computation_terms", 0)
+FIRST_TIME = ("callpaths", 0, "metrics", "time_s", 0)
+
+
+class TestMalformedDocuments:
+    """Every malformed file exits 3 with one line on stderr."""
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (KERNEL + ("name",), DELETE),
+            (KERNEL + ("message_elems_base",), DELETE),
+            (TERM + ("coefficient",), DELETE),
+            (("parameters", 0, "values"), DELETE),
+            (("parameters",), 5),
+            (TERM + ("exponents", 0, 0), "1/x"),
+            (TERM + ("exponents", 0, 0), "1/0"),
+            (KERNEL + ("true_alpha",), "abc"),
+            (("seed",), "x"),
+            (KERNEL + ("mpi_op",), "bogus"),
+        ],
+        ids=[
+            "no-kernel-name", "no-message-elems-base", "no-term-coefficient",
+            "no-parameter-values", "parameters-number", "exponent-1/x",
+            "exponent-1/0", "string-alpha", "string-seed", "unknown-mpi-op",
+        ],
+    )
+    def test_spec(self, tmp_path, capsys, path, value):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(_mutated(spec_to_dict(fig2_spec()), path, value)))
+        code, _, err = run(
+            capsys, "simulate", "--spec", str(bad), "--out", str(tmp_path / "e.json")
+        )
+        assert code == 3
+        assert err.count("\n") == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("parameters",), 5, "parameters must be a list"),
+            (FIRST_TIME + ("repetitions", 0), "abc", "could not convert"),
+            (("callpaths",), {}, "callpaths must be a list"),
+            (("callpaths", 0, "metrics"), [], "metrics must be an object"),
+            (("callpaths", 0, "name"), 7, "call path name"),
+            (FIRST_TIME + ("coordinate",), [128.0], "coordinate length mismatch"),
+            ((), [], "experiment must be an object"),
+        ],
+        ids=[
+            "parameters-number", "string-repetition", "callpaths-object",
+            "metrics-list", "numeric-callpath-name", "one-value-coordinate",
+            "top-level-list",
+        ],
+    )
+    def test_experiment(self, experiment_file, tmp_path, capsys, path, value, message):
+        doc = json.loads(experiment_file.read_text())
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(_mutated(doc, path, value)))
+        code, _, err = run(capsys, "model", "--experiment", str(bad))
+        assert code == 3
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert message in err
+
+
+# --- fuzzing the exit-code contract -------------------------------------------
+
+FUZZ_SPEC = spec_to_dict(random_spec(3, 1, 1))
+FUZZ_EXPERIMENT = experiment_to_dict(
+    simulate_measurements(random_spec(3, 1, 1), reps=2, baseline_noise=0.5)
+)
+FILLERS = (DELETE, None, 0, -1.5, 1e308, "x", [], {})
+
+
+def _node_paths(doc, prefix=()):
+    """Paths to every node below the root of a JSON document."""
+    if isinstance(doc, dict):
+        children = doc.items()
+    elif isinstance(doc, list):
+        children = enumerate(doc)
+    else:
+        children = ()
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _node_paths(child, prefix + (key,))
+
+
+def _mutations(doc):
+    return st.builds(
+        _mutated,
+        st.just(doc),
+        st.sampled_from(list(_node_paths(doc))),
+        st.sampled_from(FILLERS),
+    )
+
+
+class _Hang(BaseException):
+    """Raised by the alarm; not an Exception, so main cannot swallow it."""
+
+
+def _raise_hang(signum, frame):
+    raise _Hang("cli.main did not return within 10 s")
+
+
+def _check_exit_contract(argv):
+    """main returns 0, 3 or 4, and a failure prints exactly one error line."""
+    err = io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _raise_hang)
+    signal.alarm(10)
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code in (0, 3, 4), err.getvalue()
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    assert len(errors) == (code != 0), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+FUZZ_SETTINGS = settings(
+    derandomize=True, database=None, deadline=timedelta(seconds=5)
+)
+
+
+@settings(FUZZ_SETTINGS, max_examples=600)
+@given(doc=_mutations(FUZZ_SPEC))
+def test_fuzzed_spec_keeps_exit_contract(fuzz_dir, doc):
+    (fuzz_dir / "spec.json").write_text(json.dumps(doc))
+    _check_exit_contract(
+        ["simulate", "--spec", str(fuzz_dir / "spec.json"), "--reps", "2",
+         "--out", str(fuzz_dir / "exp.json")]
+    )
+
+
+@settings(FUZZ_SETTINGS, max_examples=400)
+@given(doc=_mutations(FUZZ_EXPERIMENT), pipeline=st.sampled_from(["classic", "swc"]))
+def test_fuzzed_experiment_keeps_exit_contract(fuzz_dir, doc, pipeline):
+    (fuzz_dir / "exp.json").write_text(json.dumps(doc))
+    _check_exit_contract(
+        ["model", "--experiment", str(fuzz_dir / "exp.json"), "--pipeline", pipeline]
+    )

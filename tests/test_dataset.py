@@ -50,6 +50,10 @@ class TestParameterSpace:
         with pytest.raises(ValidationError):
             ParameterSpace(("a",), ((0.5, 2.0),))
 
+    def test_rejects_non_string_names(self):
+        with pytest.raises(ValidationError, match="strings"):
+            ParameterSpace((7,), ((1.0, 2.0),))
+
     def test_rejects_non_increasing(self):
         with pytest.raises(ValidationError):
             ParameterSpace(("a",), ((2.0, 2.0),))
@@ -59,6 +63,10 @@ class TestCallPath:
     def test_communication_requires_op(self):
         with pytest.raises(ValidationError):
             CallPath("x", "communication")
+
+    def test_rejects_non_string_name(self):
+        with pytest.raises(ValidationError, match="string"):
+            CallPath(7, "computation")
 
     def test_computation_forbids_op(self):
         with pytest.raises(ValidationError):
@@ -100,6 +108,14 @@ class TestRoundTrip:
         with pytest.raises(ValidationError, match="incomplete grid"):
             load_experiment(path)
 
+    def test_wrong_length_coordinate_rejected(self, tmp_path):
+        doc = experiment_to_dict(small_experiment())
+        doc["callpaths"][0]["metrics"]["time_s"][0]["coordinate"] = [2.0]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="coordinate length mismatch"):
+            load_experiment(path)
+
     def test_negative_measurement_rejected(self, tmp_path):
         doc = experiment_to_dict(small_experiment())
         doc["callpaths"][0]["metrics"]["time_s"][0]["repetitions"][0] = -1.0
@@ -120,6 +136,12 @@ class TestRoundTrip:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(ParseError):
+            load_experiment(path)
+
+    def test_deeply_nested_json_rejected(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        with pytest.raises(ParseError, match="recursion"):
             load_experiment(path)
 
 

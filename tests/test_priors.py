@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import fig2_spec
+from oracle import exhaustive_oracle
 from perfprior.benchgen import simulate_measurements
 from perfprior.dataset import MpiOp
 from perfprior.errors import ModelingError, ValidationError
-from perfprior.modeler import exhaustive_oracle
 from perfprior.noise import NoiseConfig, NoisePattern, inject
 from perfprior.pmnf import (
     ALPHA,
