@@ -1,9 +1,10 @@
 """Numerical core: least-squares fitting and leave-one-out scoring.
 
 Leave-one-out scoring is the hot path of hypothesis search. It solves the
-normal equations of every fold of every hypothesis in one batched numpy
-call; hypotheses whose folds are rank-deficient are rescored on the exact
-per-fold SVD route, which is also the one used for final coefficients.
+normal equations of every fold of every hypothesis, for every target
+vector, in one batched numpy call; hypotheses whose folds are
+rank-deficient are rescored on the exact per-fold SVD route, which is also
+the one used for final coefficients.
 """
 
 from __future__ import annotations
@@ -79,63 +80,56 @@ def loo_cv_slow(a: np.ndarray, y: np.ndarray) -> float:
     return total / n
 
 
-def _scores_from_solutions(a_stack, y, coef):
-    pred = np.einsum("hnk,hnk->hn", a_stack, coef)
-    denom = np.abs(y)[None, :] + np.abs(pred)
+def _scores_from_solutions(a_stack, ys, coef):
+    """(L, H) mean symmetric relative errors of (L, H, N, k) fold solutions."""
+    pred = np.einsum("hnk,lhnk->lhn", a_stack, coef)
+    y = ys[:, None, :]
+    denom = np.abs(y) + np.abs(pred)
     err = np.zeros_like(pred)
-    np.divide(np.abs(pred - y[None, :]), denom, out=err, where=denom > 0)
-    return err.mean(axis=1)
+    np.divide(np.abs(pred - y), denom, out=err, where=denom > 0)
+    return err.mean(axis=-1)
 
 
-def _loo_normal_equations(a_stack: np.ndarray, y: np.ndarray):
-    """Mean symmetric relative LOO error per hypothesis, from fold Grams.
-
-    a_stack: (H, N, k) column-scaled design matrices sharing the targets y.
-    Returns (scores, ok): a hypothesis whose fold systems fall below the
-    pivot guard is not ok, and its score is NaN.
-    """
-    h = a_stack.shape[0]
-    gram = a_stack.transpose(0, 2, 1) @ a_stack
-    rhs = np.einsum("hnk,n->hk", a_stack, y)
-    gram_folds = gram[:, None, :, :] - np.einsum("hni,hnj->hnij", a_stack, a_stack)
-    rhs_folds = rhs[:, None, :] - a_stack * y[None, :, None]
-    ok = np.ones(h, dtype=bool)
-    scores = np.full(h, np.nan)
+def _pivots_ok(gram_folds: np.ndarray) -> np.ndarray:
+    """Per hypothesis of (H, N, k, k) fold Grams: do all folds pass the guard?"""
     try:
         chol = np.linalg.cholesky(gram_folds)
     except np.linalg.LinAlgError:
-        for hi in range(h):
-            try:
-                chol_h = np.linalg.cholesky(gram_folds[hi])
-            except np.linalg.LinAlgError:
-                ok[hi] = False
-                continue
-            if (np.diagonal(chol_h, axis1=-2, axis2=-1) ** 2).min() < PIVOT_GUARD:
-                ok[hi] = False
-                continue
-            coef = np.linalg.solve(gram_folds[hi], rhs_folds[hi][..., None])[..., 0]
-            scores[hi] = _scores_from_solutions(
-                a_stack[hi : hi + 1], y, coef[None]
-            )[0]
-        return scores, ok
+        # one indefinite fold fails the whole batch: check hypotheses alone
+        if len(gram_folds) == 1:
+            return np.zeros(1, dtype=bool)
+        return np.concatenate([_pivots_ok(folds[None]) for folds in gram_folds])
     pivots = np.diagonal(chol, axis1=-2, axis2=-1) ** 2
-    ok = pivots.reshape(h, -1).min(axis=1) >= PIVOT_GUARD
-    if ok.any():
-        coef = np.linalg.solve(gram_folds[ok], rhs_folds[ok][..., None])[..., 0]
-        scores[ok] = _scores_from_solutions(a_stack[ok], y, coef)
-    return scores, ok
+    return pivots.reshape(len(gram_folds), -1).min(axis=1) >= PIVOT_GUARD
 
 
-def loo_cv_batch(a_stack: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Leave-one-out scores for hypotheses sharing the same targets.
+def loo_cv_batch(a_stack: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Leave-one-out scores for hypotheses sharing the same coordinates.
 
-    a_stack: (H, N, k) raw design matrices. Columns are scaled to unit norm
-    first; hypotheses with rank-deficient folds are rescored exactly.
+    a_stack: (H, N, k) raw design matrices; ys: (N,) targets, or (L, N) for
+    L target vectors scored against the same designs. Returns (H,) or
+    (H, L) mean symmetric relative errors. Columns are scaled to unit norm
+    first; hypotheses with rank-deficient folds are rescored exactly. Each
+    target's scores equal those of a call with that target alone, bit for
+    bit: every fold system is solved with one right-hand side, and the
+    einsums only add an outer target axis to the one-target reductions.
     """
     a_stack = np.ascontiguousarray(a_stack, dtype=np.float64)
-    y = np.ascontiguousarray(y, dtype=np.float64)
+    ys = np.ascontiguousarray(ys, dtype=np.float64)
+    targets = np.atleast_2d(ys)
     scaled, _ = column_scaled(a_stack)
-    scores, ok = _loo_normal_equations(scaled, y)
+    # the fold Grams and the pivot check depend on the designs alone
+    gram = scaled.transpose(0, 2, 1) @ scaled
+    gram_folds = gram[:, None, :, :] - np.einsum("hni,hnj->hnij", scaled, scaled)
+    ok = _pivots_ok(gram_folds)
+    scores = np.full((len(scaled), len(targets)), np.nan)
+    if ok.any():
+        a_ok = scaled[ok]
+        rhs = np.einsum("hnk,ln->lhk", a_ok, targets)
+        rhs_folds = rhs[:, :, None, :] - a_ok[None] * targets[:, None, :, None]
+        coef = np.linalg.solve(gram_folds[ok], rhs_folds[..., None])[..., 0]
+        scores[ok] = _scores_from_solutions(a_ok, targets, coef).T
     for hi in np.nonzero(~ok)[0]:
-        scores[hi] = loo_cv_slow(scaled[hi], y)
-    return scores
+        for col, y in enumerate(targets):
+            scores[hi, col] = loo_cv_slow(scaled[hi], y)
+    return scores[:, 0] if ys.ndim == 1 else scores

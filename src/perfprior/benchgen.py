@@ -41,8 +41,10 @@ from .dataset import (
     MpiOp,
     ParameterSpace,
     read_document,
+    require_int,
     require_keys,
     require_list,
+    require_number,
     space_from_dict,
     space_to_dict,
     write_document,
@@ -748,7 +750,7 @@ def _expo_to_json(exps: Sequence[Expo]) -> list:
 def _expo_from_json(raw, m: int, where: str) -> tuple[Expo, ...]:
     if len(require_list(raw, where)) != m:
         raise ParseError(f"{where}: expected {m} exponent pairs")
-    return tuple((Fraction(i), int(j)) for i, j in raw)
+    return tuple((Fraction(i), require_int(j, where)) for i, j in raw)
 
 
 def spec_to_dict(spec: BenchmarkSpec) -> dict:
@@ -788,7 +790,8 @@ def _kernel_from_dict(k, m: int) -> KernelSpec:
     for t in require_list(k["computation_terms"], "computation_terms"):
         require_keys(t, "computation term", ["exponents", "coefficient"])
         expos = _expo_from_json(t["exponents"], m, "computation term")
-        terms.append((ComplexityTerm(expos), float(t["coefficient"])))
+        coefficient = require_number(t["coefficient"], "computation term")
+        terms.append((ComplexityTerm(expos), coefficient))
     message = k["message_elems_term"]
     if message is not None:
         message = ComplexityTerm(_expo_from_json(message, m, "message_elems_term"))
@@ -798,24 +801,24 @@ def _kernel_from_dict(k, m: int) -> KernelSpec:
         loop_arrangement=k["loop_arrangement"],
         mpi_op=k["mpi_op"],
         message_elems_term=message,
-        message_elems_base=int(k["message_elems_base"]),
-        elem_size=int(k["elem_size"]),
-        true_alpha=float(k["true_alpha"]),
-        true_beta=float(k["true_beta"]),
-        true_gamma=float(k["true_gamma"]),
-        bb_per_iteration=int(k["bb_per_iteration"]),
+        message_elems_base=require_int(k["message_elems_base"], "message_elems_base"),
+        elem_size=require_int(k["elem_size"], "elem_size"),
+        true_alpha=require_number(k["true_alpha"], "true_alpha"),
+        true_beta=require_number(k["true_beta"], "true_beta"),
+        true_gamma=require_number(k["true_gamma"], "true_gamma"),
+        bb_per_iteration=require_int(k["bb_per_iteration"], "bb_per_iteration"),
     )
 
 
 def spec_from_dict(doc) -> BenchmarkSpec:
     keys = ["format_version", "seed", "ranks_param", "parameters", "kernels"]
     require_keys(doc, "benchmark spec", keys)
-    if doc["format_version"] != SPEC_FORMAT_VERSION:
+    if require_int(doc["format_version"], "format_version") != SPEC_FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {doc['format_version']!r}")
     space = space_from_dict(doc["parameters"])
     kernels = require_list(doc["kernels"], "kernels")
     return BenchmarkSpec(
-        seed=int(doc["seed"]),
+        seed=require_int(doc["seed"], "seed"),
         space=space,
         kernels=tuple(_kernel_from_dict(k, space.m) for k in kernels),
         ranks_param=doc["ranks_param"],

@@ -340,7 +340,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # overflow and invalid values surface as the non-finite measurement
+        # and coefficient errors below, so numpy's warnings would only
+        # print ahead of the one error line
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except (OSError, ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

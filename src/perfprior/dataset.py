@@ -262,6 +262,22 @@ def require_list(obj, where: str) -> list:
     return obj
 
 
+def require_number(value, where: str) -> float:
+    """Check that value is a JSON number (booleans are not); return a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"could not convert {value!r} to a number in {where}")
+    return float(value)
+
+
+def require_int(value, where: str) -> int:
+    """Check that value is a JSON number without a fractional part; return it."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"could not convert {value!r} to an integer in {where}")
+    return value
+
+
 def space_to_dict(space: ParameterSpace) -> list:
     """Plain-data form of the `parameters` block."""
     return [
@@ -276,7 +292,13 @@ def space_from_dict(raw) -> ParameterSpace:
     ]
     return ParameterSpace(
         tuple(p["name"] for p in params),
-        tuple(tuple(require_list(p["values"], "parameter values")) for p in params),
+        tuple(
+            tuple(
+                require_number(v, "parameter values")
+                for v in require_list(p["values"], "parameter values")
+            )
+            for p in params
+        ),
     )
 
 
@@ -305,7 +327,7 @@ def experiment_to_dict(exp: ExperimentSet) -> dict:
 
 def experiment_from_dict(doc) -> ExperimentSet:
     require_keys(doc, "experiment", ["format_version", "parameters", "callpaths"])
-    if doc["format_version"] != FORMAT_VERSION:
+    if require_int(doc["format_version"], "format_version") != FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {doc['format_version']!r}")
     space = space_from_dict(doc["parameters"])
     callpaths = []
@@ -319,10 +341,13 @@ def experiment_from_dict(doc) -> ExperimentSet:
             for rec in require_list(records, "metric series"):
                 require_keys(rec, "measurement", ["coordinate", "repetitions"])
                 raw_coord = require_list(rec["coordinate"], "coordinate")
-                coord = tuple(float(v) for v in raw_coord)
+                coord = tuple(require_number(v, "coordinate") for v in raw_coord)
                 if coord in data:
                     raise ParseError(f"duplicate coordinate {coord} in {cp.name!r}")
-                data[coord] = tuple(require_list(rec["repetitions"], "repetitions"))
+                data[coord] = tuple(
+                    require_number(r, "repetitions")
+                    for r in require_list(rec["repetitions"], "repetitions")
+                )
             metrics[metric] = MetricSeries(metric, data)
         callpaths.append((cp, metrics))
     return ExperimentSet(space, tuple(callpaths))

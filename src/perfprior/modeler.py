@@ -18,6 +18,7 @@ terms over non-empty parameter subsets, capped at m + 1 bases.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -94,8 +95,12 @@ def cv_score(skel: Skeleton, data: Mapping[Coordinate, float]) -> float:
     return float(_core.loo_cv_batch(a[None], y)[0])
 
 
-def single_param_hypotheses(param: str) -> list[Skeleton]:
-    """The constant plus one skeleton {1, x^i log2^j(x)} per (i, j) != (0, 0)."""
+@functools.lru_cache(maxsize=64)
+def single_param_hypotheses(param: str) -> tuple[Skeleton, ...]:
+    """The constant plus one skeleton {1, x^i log2^j(x)} per (i, j) != (0, 0).
+
+    Built once per parameter name; the tuple is shared by every caller.
+    """
     i_set, j_set = default_exponent_sets()
     names = (param,)
     out = [Skeleton(names, (constant_basis(1),))]
@@ -104,7 +109,13 @@ def single_param_hypotheses(param: str) -> list[Skeleton]:
             if i == 0 and j == 0:
                 continue
             out.append(Skeleton(names, (constant_basis(1), BasisFunction(((i, j),)))))
-    return out
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=64)
+def _family_keys(param: str) -> tuple[tuple, ...]:
+    """Structural tie-break keys of single_param_hypotheses(param), in order."""
+    return tuple(_skeleton_key(skel) for skel in single_param_hypotheses(param))
 
 
 def _loo_scores(
@@ -112,30 +123,24 @@ def _loo_scores(
 ) -> np.ndarray:
     """Score every skeleton on every target vector sharing the coordinates.
 
-    Skeletons of one size share a stack, so each target costs one batched
-    LOO call per size.
+    Skeletons of one size share a stack, and all targets are scored in one
+    batched LOO call per size.
     """
     by_size: dict[int, list[int]] = {}
     for idx, skel in enumerate(skels):
         by_size.setdefault(skel.size, []).append(idx)
-    stacks = []
+    targets = np.array(ys)
+    scores = np.empty((len(skels), len(targets)))
     for idxs in by_size.values():
         stack = np.stack([design_matrix(skels[idx], coords) for idx in idxs])
-        stacks.append((np.array(idxs), stack))
-    scores = np.empty((len(skels), len(ys)))
-    for col, y in enumerate(ys):
-        for idxs, stack in stacks:
-            scores[idxs, col] = _core.loo_cv_batch(stack, y)
+        scores[idxs] = _core.loo_cv_batch(stack, targets)
     return scores
 
 
 def _select(
-    skels: Sequence[Skeleton], scores: Sequence[float]
+    skels: Sequence[Skeleton], scores: Sequence[float], keys: Sequence[tuple]
 ) -> tuple[Skeleton, float]:
-    best = min(
-        range(len(skels)),
-        key=lambda idx: (_snap(scores[idx]), _skeleton_key(skels[idx])),
-    )
+    best = min(range(len(skels)), key=lambda idx: (_snap(scores[idx]), keys[idx]))
     return skels[best], _snap(scores[best])
 
 
@@ -149,7 +154,7 @@ def search_single(data: Mapping[Coordinate, float], param: str) -> PmnfModel:
         raise InsufficientDataError("need at least 3 distinct parameter values")
     hyps = single_param_hypotheses(param)
     scores = _loo_scores(coords, hyps, [y])[:, 0]
-    winner, _ = _select(hyps, scores)
+    winner, _ = _select(hyps, scores, _family_keys(param))
     coef, _ = fit_coefficients(winner, data)
     return model_from_skeleton(winner, coef)
 
@@ -214,7 +219,9 @@ def search_multi(data: Mapping[Coordinate, float], space: ParameterSpace) -> Pmn
         lines = _line_views(space, data, axis)
         line_scores = _loo_scores(axis_coords, hyps, lines)
         line_scores[line_scores < SCORE_FLOOR] = 0.0
-        winner, _ = _select(hyps, line_scores.mean(axis=1))
+        winner, _ = _select(
+            hyps, line_scores.mean(axis=1), _family_keys(space.names[axis])
+        )
         if winner.size > 1:
             (i, j) = winner.bases[1].exponents[0]
             exps: list[Expo] = [(Fraction(0), 0)] * space.m
@@ -224,7 +231,7 @@ def search_multi(data: Mapping[Coordinate, float], space: ParameterSpace) -> Pmn
     candidates = _multi_candidates(space, best_terms)
     coords, y = _ordered(data)
     scores = _loo_scores(coords, candidates, [y])[:, 0]
-    winner, _ = _select(candidates, scores)
+    winner, _ = _select(candidates, scores, [_skeleton_key(c) for c in candidates])
     coef, _ = fit_coefficients(winner, data)
     return model_from_skeleton(winner, coef)
 

@@ -2,6 +2,7 @@ import copy
 import io
 import json
 import signal
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
 
@@ -24,6 +25,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_strict(capsys, *argv):
+    """run, with every warning raised as an error.
+
+    pytest records warnings instead of printing them, so a warning that a
+    real run would print on stderr ahead of the error line fails here.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run(capsys, *argv)
 
 
 class TestGenerate:
@@ -309,17 +321,27 @@ class TestMalformedDocuments:
             (KERNEL + ("true_alpha",), "abc"),
             (("seed",), "x"),
             (KERNEL + ("mpi_op",), "bogus"),
+            (KERNEL + ("true_alpha",), 1e308),
+            (KERNEL + ("true_alpha",), "3e-05"),
+            (KERNEL + ("true_alpha",), True),
+            (("seed",), 1.5),
+            (TERM + ("exponents", 0, 1), 1.5),
+            (KERNEL + ("elem_size",), "4"),
+            (("format_version",), True),
         ],
         ids=[
             "no-kernel-name", "no-message-elems-base", "no-term-coefficient",
             "no-parameter-values", "parameters-number", "exponent-1/x",
             "exponent-1/0", "string-alpha", "string-seed", "unknown-mpi-op",
+            "overflowing-alpha", "numeric-string-alpha", "boolean-alpha",
+            "fractional-seed", "fractional-log-exponent", "numeric-string-elem-size",
+            "boolean-format-version",
         ],
     )
     def test_spec(self, tmp_path, capsys, path, value):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(_mutated(spec_to_dict(fig2_spec()), path, value)))
-        code, _, err = run(
+        code, _, err = run_strict(
             capsys, "simulate", "--spec", str(bad), "--out", str(tmp_path / "e.json")
         )
         assert code == 3
@@ -335,18 +357,25 @@ class TestMalformedDocuments:
             (("callpaths", 0, "name"), 7, "call path name"),
             (FIRST_TIME + ("coordinate",), [128.0], "coordinate length mismatch"),
             ((), [], "experiment must be an object"),
+            (FIRST_TIME + ("repetitions", 0), "0.5", "could not convert"),
+            (FIRST_TIME + ("repetitions", 0), True, "could not convert"),
+            (FIRST_TIME + ("coordinate", 0), "128", "could not convert"),
+            (("parameters", 0, "values", 0), False, "could not convert"),
+            (("format_version",), True, "could not convert"),
         ],
         ids=[
             "parameters-number", "string-repetition", "callpaths-object",
             "metrics-list", "numeric-callpath-name", "one-value-coordinate",
-            "top-level-list",
+            "top-level-list", "numeric-string-repetition", "boolean-repetition",
+            "numeric-string-coordinate", "boolean-parameter-value",
+            "boolean-format-version",
         ],
     )
     def test_experiment(self, experiment_file, tmp_path, capsys, path, value, message):
         doc = json.loads(experiment_file.read_text())
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(_mutated(doc, path, value)))
-        code, _, err = run(capsys, "model", "--experiment", str(bad))
+        code, _, err = run_strict(capsys, "model", "--experiment", str(bad))
         assert code == 3
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert message in err
@@ -392,19 +421,30 @@ def _raise_hang(signum, frame):
 
 
 def _check_exit_contract(argv):
-    """main returns 0, 3 or 4, and a failure prints exactly one error line."""
+    """main returns 0, 3 or 4, and a failure prints one error line, nothing else.
+
+    Warnings are raised as errors (see run_strict), so a warning fails too.
+    """
     err = io.StringIO()
     previous = signal.signal(signal.SIGALRM, _raise_hang)
     signal.alarm(10)
     try:
-        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        with (
+            redirect_stdout(io.StringIO()),
+            redirect_stderr(err),
+            warnings.catch_warnings(),
+        ):
+            warnings.simplefilter("error")
             code = main(argv)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert code in (0, 3, 4), err.getvalue()
-    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
-    assert len(errors) == (code != 0), err.getvalue()
+    if code == 0:
+        assert "error:" not in err.getvalue()
+    else:
+        assert err.getvalue().count("\n") == 1, err.getvalue()
+        assert err.getvalue().startswith("error: "), err.getvalue()
 
 
 @pytest.fixture(scope="module")

@@ -112,3 +112,51 @@ class TestLooCvBatch:
         slow = [loo_cv_slow(s, y) for s in scaled]
         assert np.all(np.isfinite(scores))
         assert np.allclose(scores, slow, rtol=1e-9, atol=1e-12)
+
+
+class TestLooCvBatchMultiTarget:
+    """Scoring L targets in one call equals L single-target calls, bit for bit."""
+
+    @staticmethod
+    def assert_per_target_equal(a, ys):
+        scores = loo_cv_batch(a, ys)
+        assert scores.shape == (a.shape[0], ys.shape[0])
+        for col, y in enumerate(ys):
+            assert np.array_equal(scores[:, col], loo_cv_batch(a, y))
+
+    def test_random_stacks(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            h, n, k = (int(rng.integers(1, 12)), int(rng.integers(4, 9)),
+                       int(rng.integers(1, 4)))
+            a = rng.uniform(0.5, 1e4, size=(h, n, k))
+            ys = rng.uniform(0.1, 1e3, size=(int(rng.integers(2, 26)), n))
+            self.assert_per_target_equal(a, ys)
+
+    def test_duplicated_column_rescued_for_every_target(self):
+        rng = np.random.default_rng(6)
+        a = rng.uniform(0.5, 1e3, size=(5, 7, 3))
+        a[2, :, 2] = a[2, :, 1]
+        ys = rng.uniform(0.1, 1e3, size=(4, 7))
+        self.assert_per_target_equal(a, ys)
+        scores = loo_cv_batch(a, ys)
+        scaled, _ = column_scaled(a)
+        for col, y in enumerate(ys):
+            assert scores[2, col] == loo_cv_slow(scaled[2], y)
+
+    def test_constant_target(self):
+        rng = np.random.default_rng(7)
+        a = rng.uniform(0.5, 1e3, size=(6, 5, 2))
+        ys = np.stack([np.full(5, 3.0), rng.uniform(0.1, 10, size=5), np.zeros(5)])
+        self.assert_per_target_equal(a, ys)
+
+    def test_single_target_in_two_dimensions(self):
+        rng = np.random.default_rng(8)
+        a = rng.uniform(0.5, 1e3, size=(4, 6, 2))
+        ys = rng.uniform(0.1, 10, size=(1, 6))
+        self.assert_per_target_equal(a, ys)
+
+    def test_one_dimensional_target_keeps_shape(self):
+        a, y = quad_system()
+        stack = np.stack([a, a[:, :1].repeat(2, axis=1)])
+        assert loo_cv_batch(stack, y).shape == (2,)

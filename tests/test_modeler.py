@@ -76,6 +76,11 @@ class TestCvScore:
 
 
 class TestHypothesisFamily:
+    def test_built_once_and_immutable(self):
+        hyps = single_param_hypotheses("x")
+        assert isinstance(hyps, tuple)
+        assert single_param_hypotheses("x") is hyps
+
     def test_sixty_hypotheses(self):
         hyps = single_param_hypotheses("x")
         assert len(hyps) == 60
