@@ -1,0 +1,106 @@
+#!/usr/bin/env python3
+"""Print one sha256 per class of document the perfprior CLI writes.
+
+A change that must keep every output byte-identical prints the same lines
+as its parent commit. Run it on both trees and compare:
+
+    PYTHONPATH=src python3 benchmarks/identity_digest.py
+
+Classes, each hashed over its documents in a fixed order:
+
+- `generate`: `generate --count 1` for seeds 0-39 at m = 1, 2, 3 with
+  1, 2 and 3 kernels (360 spec files);
+- `model/<pipeline>`: `model --format machine` stdout for `random_spec`
+  seeds 0-119 at m = 1 and m = 2 and 0-39 at m = 3, 2 kernels, 5
+  repetitions, 50 % uniform noise (280 fits per pipeline, 560 in all);
+- `study-noise/<pipeline>/<pattern>`: one `study-noise` JSON per noise
+  pattern on `random_spec(1, 2, 2)`, intensities 10 % and 75 %, 3 trials;
+- `study-reps/<pipeline>`: one `study-reps` JSON on the same spec,
+  4 repetitions at baseline noise 0.5.
+
+It takes about half a minute on a 2-core machine.
+"""
+
+import hashlib
+import io
+import sys
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+
+from perfprior import benchgen, cli
+
+PIPELINES = ("classic", "swc")
+PATTERNS = ("uniform", "truncated_normal", "scaled_poisson", "scaled_exponential")
+MODEL_SEEDS = {1: range(120), 2: range(120), 3: range(40)}
+
+
+def run(*argv) -> str:
+    """Run one CLI command in-process and return its stdout."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main([str(a) for a in argv])
+    if code != 0:
+        sys.exit(f"perfprior {' '.join(map(str, argv))} exited {code}")
+    return out.getvalue()
+
+
+def generate_digest(work: Path) -> str:
+    digest = hashlib.sha256()
+    for m in (1, 2, 3):
+        for kernels in (1, 2, 3):
+            for seed in range(40):
+                out = work / f"gen_{m}_{kernels}_{seed}"
+                run("generate", "--seed", seed, "--params", m, "--count", 1,
+                    "--kernels", kernels, "--out", out)
+                digest.update((out / "spec_000.json").read_bytes())
+    return digest.hexdigest()
+
+
+def model_digests(work: Path) -> dict[str, str]:
+    digests = {p: hashlib.sha256() for p in PIPELINES}
+    spec, exp, noisy = work / "spec.json", work / "exp.json", work / "noisy.json"
+    for m, seeds in MODEL_SEEDS.items():
+        for seed in seeds:
+            benchgen.save_spec(benchgen.random_spec(seed, m, 2), spec)
+            run("simulate", "--spec", spec, "--reps", 5, "--seed", seed,
+                "--out", exp)
+            run("inject", "--experiment", exp, "--pattern", "uniform",
+                "--intensity", 50, "--seed", seed, "--out", noisy)
+            for p in PIPELINES:
+                report = run("model", "--experiment", noisy, "--pipeline", p,
+                             "--format", "machine")
+                digests[p].update(report.encode())
+    return {f"model/{p}": d.hexdigest() for p, d in digests.items()}
+
+
+def study_digests(work: Path) -> dict[str, str]:
+    spec, out = work / "study_spec.json", work / "study.json"
+    benchgen.save_spec(benchgen.random_spec(1, 2, 2), spec)
+    digests = {}
+    for p in PIPELINES:
+        for pattern in PATTERNS:
+            run("study-noise", "--spec", spec, "--pipeline", p,
+                "--intensities", "10,75", "--patterns", pattern,
+                "--trials", 3, "--seed", 7, "--out", out)
+            digests[f"study-noise/{p}/{pattern}"] = (
+                hashlib.sha256(out.read_bytes()).hexdigest()
+            )
+        run("study-reps", "--spec", spec, "--pipeline", p, "--reps", 4,
+            "--seed", 7, "--out", out)
+        digests[f"study-reps/{p}"] = hashlib.sha256(out.read_bytes()).hexdigest()
+    return digests
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        digests = {"generate": generate_digest(work)}
+        digests.update(model_digests(work))
+        digests.update(study_digests(work))
+    for name, value in digests.items():
+        print(f"{value}  {name}")
+
+
+if __name__ == "__main__":
+    main()

@@ -49,9 +49,7 @@ from .noise import NoiseConfig, NoisePattern, inject, sample
 from .benchgen import (
     BenchmarkSpec,
     ComplexityTerm,
-    GeneratorConfig,
     KernelSpec,
-    emit_source,
     ground_truth,
     random_spec,
     simulate_measurements,

@@ -11,8 +11,8 @@ baseline noise. That makes a spec a desk-scale ground-truth oracle for the
 whole modeling pipeline, without compiling or running anything.
 
 Element counts and loop trip counts are integers, so term values are
-rounded. The default generator keeps every term's smallest grid value
-above a floor (and scales message counts by a base factor): rounding a
+rounded. The generator keeps every term's smallest grid value above a
+floor (and scales message counts by a base factor): rounding a
 small fractional-exponent term can otherwise alias it into a different
 complexity class, e.g. round(p^(1/4)) on the default geometric grid is
 exactly affine in log2(p).
@@ -20,7 +20,6 @@ exactly affine in log2(p).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -166,44 +165,23 @@ class BenchmarkSpec:
                     raise ValidationError("message arity does not match space")
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
-    """Pools and ranges for the seeded random generator."""
-
-    monomial_exponents: tuple[Fraction, ...] = ()
-    log_exponents: tuple[int, ...] = (0, 1, 2)
-    message_monomials: tuple[Fraction, ...] = ()
-    message_logs: tuple[int, ...] = (0, 1)
-    coeff_range: tuple[float, float] = (1e-8, 1e-5)
-    alpha_range: tuple[float, float] = (1e-6, 1e-4)
-    beta_range: tuple[float, float] = (1e-10, 1e-8)
-    gamma_range: tuple[float, float] = (1e-11, 1e-9)
-    bb_range: tuple[int, int] = (1, 64)
-    elem_sizes: tuple[int, ...] = (4, 8)
-    ops: tuple[MpiOp, ...] = tuple(MpiOp)
-    message_elems_base: int = 1000
-    message_zero_prob: float = 0.25
-    min_term_value: float = 1000.0
-    space: ParameterSpace | None = None
-
-    def __post_init__(self):
-        if not self.monomial_exponents:
-            i_set, _ = default_exponent_sets()
-            object.__setattr__(self, "monomial_exponents", tuple(i_set))
-        if not self.message_monomials:
-            i_set, _ = default_exponent_sets()
-            object.__setattr__(
-                self,
-                "message_monomials",
-                tuple(i for i in i_set if i <= Fraction(3, 2)),
-            )
-        if self.coeff_range[0] <= 0 or self.coeff_range[0] > self.coeff_range[1]:
-            raise ValidationError("coefficient range must be positive and ordered")
-        for lo, hi in (self.alpha_range, self.beta_range, self.gamma_range):
-            if lo <= 0 or lo > hi:
-                raise ValidationError("cost ranges must be positive and ordered")
-        if self.bb_range[0] < 1 or self.bb_range[0] > self.bb_range[1]:
-            raise ValidationError("bb_range must be ordered and >= 1")
+# Pools and ranges of the seeded generator. Term exponents come from the
+# modeler's search space; message sizes grow at most like x^(3/2).
+MONOMIAL_EXPONENTS = tuple(default_exponent_sets()[0])
+LOG_EXPONENTS = (0, 1, 2)
+MESSAGE_MONOMIALS = tuple(i for i in MONOMIAL_EXPONENTS if i <= Fraction(3, 2))
+MESSAGE_LOGS = (0, 1)
+MESSAGE_ZERO_PROB = 0.25
+MESSAGE_ELEMS_BASE = 1000
+COEFF_RANGE = (1e-8, 1e-5)
+ALPHA_RANGE = (1e-6, 1e-4)
+BETA_RANGE = (1e-10, 1e-8)
+GAMMA_RANGE = (1e-11, 1e-9)
+BB_RANGE = (1, 64)
+ELEM_SIZES = (4, 8)
+MPI_OPS = tuple(MpiOp)
+# smallest value any computation term may take on the grid
+MIN_TERM_VALUE = 1000.0
 
 
 def default_space(m: int) -> ParameterSpace:
@@ -235,12 +213,10 @@ def _log_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
     return float(10.0 ** rng.uniform(math.log10(lo), math.log10(hi)))
 
 
-def _draw_axis_function(
-    rng: np.random.Generator, config: GeneratorConfig
-) -> Expo:
+def _draw_axis_function(rng: np.random.Generator) -> Expo:
     while True:
-        i = config.monomial_exponents[rng.integers(len(config.monomial_exponents))]
-        j = config.log_exponents[rng.integers(len(config.log_exponents))]
+        i = MONOMIAL_EXPONENTS[rng.integers(len(MONOMIAL_EXPONENTS))]
+        j = LOG_EXPONENTS[rng.integers(len(LOG_EXPONENTS))]
         if i != 0 or j != 0:
             return (Fraction(i), int(j))
 
@@ -260,10 +236,7 @@ def _combine_terms(a: ComplexityTerm, b: ComplexityTerm) -> ComplexityTerm:
 
 
 def _draw_kernel(
-    rng: np.random.Generator,
-    name: str,
-    space: ParameterSpace,
-    config: GeneratorConfig,
+    rng: np.random.Generator, name: str, space: ParameterSpace
 ) -> KernelSpec:
     m = space.m
     grid = np.array(space.grid())
@@ -271,7 +244,7 @@ def _draw_kernel(
     axis_order = [int(a) for a in rng.permutation(m)]
 
     for _ in range(500):
-        functions = {axis: _draw_axis_function(rng, config) for axis in axis_order}
+        functions = {axis: _draw_axis_function(rng) for axis in axis_order}
         terms: list[ComplexityTerm] = []
         if arrangement == "nested":
             current = None
@@ -281,30 +254,23 @@ def _draw_kernel(
                 terms.append(current)
         else:
             terms = [_axis_term(m, axis, functions[axis]) for axis in axis_order]
-        if all(term_values(t, grid).min() >= config.min_term_value for t in terms):
+        if all(term_values(t, grid).min() >= MIN_TERM_VALUE for t in terms):
             break
     else:
-        raise ValidationError(
-            "could not draw terms above the minimum value floor; "
-            "widen the exponent pools or lower min_term_value"
-        )
+        raise ValidationError("could not draw terms above the minimum value floor")
 
-    computation = tuple(
-        (t, _log_uniform(rng, *config.coeff_range)) for t in terms
-    )
-    op = config.ops[rng.integers(len(config.ops))]
+    computation = tuple((t, _log_uniform(rng, *COEFF_RANGE)) for t in terms)
+    op = MPI_OPS[rng.integers(len(MPI_OPS))]
     message = None
     if op is not MpiOp.BARRIER:
         while True:
             exps: list[Expo] = []
             for _ in range(m):
-                if rng.random() < config.message_zero_prob:
+                if rng.random() < MESSAGE_ZERO_PROB:
                     exps.append((Fraction(0), 0))
                 else:
-                    i = config.message_monomials[
-                        rng.integers(len(config.message_monomials))
-                    ]
-                    j = config.message_logs[rng.integers(len(config.message_logs))]
+                    i = MESSAGE_MONOMIALS[rng.integers(len(MESSAGE_MONOMIALS))]
+                    j = MESSAGE_LOGS[rng.integers(len(MESSAGE_LOGS))]
                     exps.append((Fraction(i), int(j)))
             if any(i != 0 or j != 0 for i, j in exps):
                 message = ComplexityTerm(tuple(exps))
@@ -315,18 +281,16 @@ def _draw_kernel(
         loop_arrangement=arrangement,
         mpi_op=op,
         message_elems_term=message,
-        elem_size=int(config.elem_sizes[rng.integers(len(config.elem_sizes))]),
-        message_elems_base=config.message_elems_base,
-        true_alpha=_log_uniform(rng, *config.alpha_range),
-        true_beta=_log_uniform(rng, *config.beta_range),
-        true_gamma=_log_uniform(rng, *config.gamma_range),
-        bb_per_iteration=int(rng.integers(config.bb_range[0], config.bb_range[1] + 1)),
+        elem_size=int(ELEM_SIZES[rng.integers(len(ELEM_SIZES))]),
+        message_elems_base=MESSAGE_ELEMS_BASE,
+        true_alpha=_log_uniform(rng, *ALPHA_RANGE),
+        true_beta=_log_uniform(rng, *BETA_RANGE),
+        true_gamma=_log_uniform(rng, *GAMMA_RANGE),
+        bb_per_iteration=int(rng.integers(BB_RANGE[0], BB_RANGE[1] + 1)),
     )
 
 
-def random_spec(
-    seed: int, m: int, n_kernels: int = 1, config: GeneratorConfig | None = None
-) -> BenchmarkSpec:
+def random_spec(seed: int, m: int, n_kernels: int = 1) -> BenchmarkSpec:
     """Seeded random benchmark spec; identical seeds give identical specs."""
     if m not in (1, 2, 3):
         raise ValidationError("supported parameter counts: m in {1, 2, 3}")
@@ -334,12 +298,11 @@ def random_spec(
         raise ValidationError("n_kernels must be >= 1")
     if seed < 0:
         raise ValidationError("seed must be non-negative")
-    config = config or GeneratorConfig()
-    space = config.space or default_space(m)
+    space = default_space(m)
     kernels = []
     for idx in range(n_kernels):
         rng = np.random.default_rng([seed, idx])
-        kernels.append(_draw_kernel(rng, f"k{idx:02d}", space, config))
+        kernels.append(_draw_kernel(rng, f"k{idx:02d}", space))
     return BenchmarkSpec(
         seed=seed, space=space, kernels=tuple(kernels), ranks_param=space.names[0]
     )
@@ -562,184 +525,6 @@ def root_bytes(spec: BenchmarkSpec, kernel: KernelSpec, coordinate: Coordinate) 
     return account_bytes(kernel.mpi_op, elems, kernel.elem_size, p)[0]
 
 
-# --- source emission ---------------------------------------------------------
-
-_MPI_CALLS = {
-    MpiOp.SEND: "MPI_Send({buf}, {count}, {dtype}, 1, 0, MPI_COMM_WORLD);",
-    MpiOp.RECEIVE: (
-        "MPI_Recv({buf}, {count}, {dtype}, 0, 0, MPI_COMM_WORLD,"
-        " MPI_STATUS_IGNORE);"
-    ),
-    MpiOp.BROADCAST: "MPI_Bcast({buf}, {count}, {dtype}, 0, MPI_COMM_WORLD);",
-    MpiOp.SCATTER: (
-        "MPI_Scatter({buf}, {count}, {dtype}, {buf}, {count}, {dtype}, 0,"
-        " MPI_COMM_WORLD);"
-    ),
-    MpiOp.GATHER: (
-        "MPI_Gather({buf}, {count}, {dtype}, {buf}, {count}, {dtype}, 0,"
-        " MPI_COMM_WORLD);"
-    ),
-    MpiOp.ALLGATHER: (
-        "MPI_Allgather({buf}, {count}, {dtype}, {buf}, {count}, {dtype},"
-        " MPI_COMM_WORLD);"
-    ),
-    MpiOp.REDUCE: (
-        "MPI_Reduce(MPI_IN_PLACE, {buf}, {count}, {dtype}, MPI_SUM, 0,"
-        " MPI_COMM_WORLD);"
-    ),
-    MpiOp.ALLREDUCE: (
-        "MPI_Allreduce(MPI_IN_PLACE, {buf}, {count}, {dtype}, MPI_SUM,"
-        " MPI_COMM_WORLD);"
-    ),
-    MpiOp.BARRIER: "MPI_Barrier(MPI_COMM_WORLD);",
-}
-
-
-def _axis_expr(name: str, expo: Expo) -> str:
-    i, j = expo
-    parts = []
-    if i == 1:
-        parts.append(f"(double){name}")
-    elif i != 0:
-        parts.append(f"std::pow((double){name}, {float(i)!r})")
-    if j == 1:
-        parts.append(f"std::log2((double){name})")
-    elif j != 0:
-        parts.append(f"std::pow(std::log2((double){name}), {j})")
-    return " * ".join(parts) if parts else "1.0"
-
-
-def _term_expr(term: ComplexityTerm, names: Sequence[str]) -> str:
-    parts = [
-        _axis_expr(name, expo)
-        for name, expo in zip(names, term.exponents)
-        if expo != (Fraction(0), 0)
-    ]
-    return " * ".join(parts) if parts else "1.0"
-
-
-def _bound_expr(name: str, expo: Expo) -> str:
-    if expo == (Fraction(1), 0):
-        return name
-    return f"scaled_extent({_axis_expr(name, expo)})"
-
-
-def emit_source(spec: BenchmarkSpec) -> str:
-    """Deterministic C++ text realizing the spec (never compiled here)."""
-    names = spec.space.names
-    truth = ground_truth(spec)
-    truth_doc = {
-        kernel: {
-            section: None
-            if lead is None
-            else {p: [str(e[0]), e[1]] for p, e in lead.items()}
-            for section, lead in entry.items()
-        }
-        for kernel, entry in truth.items()
-    }
-    lines = [
-        "// Synthetic benchmark generated from a seeded spec.",
-        "// GROUND_TRUTH " + json.dumps(truth_doc, sort_keys=True),
-        "#include <cmath>",
-        "#include <cstdint>",
-        "#include <vector>",
-        "#include <mpi.h>",
-        "",
-        "namespace {",
-        "long scaled_extent(double v) { return (long)std::llround(v); }",
-        "}  // namespace",
-    ]
-    args = ", ".join(f"long {n}" for n in names)
-    for kernel in spec.kernels:
-        lines.append("")
-        lines.append(
-            f"// kernel {kernel.name}: {kernel.loop_arrangement} loops"
-            + (f", {kernel.mpi_op.value}" if kernel.mpi_op else "")
-        )
-        lines.append(f"void {kernel.name}_frame({args}) {{")
-        body: list[str] = []
-        elem_type, mpi_type = (
-            ("int", "MPI_INT") if kernel.elem_size == 4 else ("double", "MPI_DOUBLE")
-        )
-        if kernel.message_elems_term is not None:
-            extent = (
-                f"scaled_extent({kernel.message_elems_base}.0 * "
-                f"{_term_expr(kernel.message_elems_term, names)})"
-            )
-            body.append(f"std::vector<{elem_type}> payload({extent});")
-        body.append("int64_t acc = 0;")
-        loop_axes = _loop_axes(spec, kernel)
-        if kernel.loop_arrangement == "nested":
-            depth = 0
-            for axis, expo in loop_axes:
-                var = f"i{depth}"
-                bound = _bound_expr(names[axis], expo)
-                body.append(
-                    "  " * depth + f"for (long {var} = 0; {var} < {bound}; ++{var}) {{"
-                )
-                depth += 1
-                body.append("  " * depth + _work_statement(kernel, depth))
-            for depth in range(len(loop_axes) - 1, -1, -1):
-                body.append("  " * depth + "}")
-        else:
-            for idx, (axis, expo) in enumerate(loop_axes):
-                var = f"i{idx}"
-                bound = _bound_expr(names[axis], expo)
-                body.append(f"for (long {var} = 0; {var} < {bound}; ++{var}) {{")
-                body.append("  " + _work_statement(kernel, idx + 1, first=idx))
-                body.append("}")
-        if kernel.mpi_op is not None:
-            if kernel.message_elems_term is None:
-                body.append(_MPI_CALLS[kernel.mpi_op])
-            else:
-                body.append(
-                    _MPI_CALLS[kernel.mpi_op].format(
-                        buf="payload.data()",
-                        count="(int)payload.size()",
-                        dtype=mpi_type,
-                    )
-                )
-        body.append("(void)acc;")
-        lines.extend("  " + b for b in body)
-        lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _work_statement(kernel: KernelSpec, depth: int, first: int = 0) -> str:
-    idx = " + ".join(f"i{d}" for d in range(first, depth))
-    if kernel.message_elems_term is not None:
-        return f"acc += (int64_t)payload[(size_t)(({idx}) % (long)payload.size())];"
-    return f"acc += {idx};"
-
-
-def _loop_axes(spec: BenchmarkSpec, kernel: KernelSpec) -> list[tuple[int, Expo]]:
-    """Recover per-loop (axis, function) pairs from the stored terms."""
-    axes: list[tuple[int, Expo]] = []
-    if kernel.loop_arrangement == "sequential":
-        for term, _ in kernel.computation_terms:
-            for axis, expo in enumerate(term.exponents):
-                if expo != (Fraction(0), 0):
-                    axes.append((axis, expo))
-                    break
-    else:
-        previous: tuple[Expo, ...] | None = None
-        for term, _ in kernel.computation_terms:
-            exps = term.exponents
-            if previous is None:
-                delta = exps
-            else:
-                delta = tuple(
-                    (i - pi, j - pj)
-                    for (i, j), (pi, pj) in zip(exps, previous)
-                )
-            for axis, expo in enumerate(delta):
-                if expo != (Fraction(0), 0):
-                    axes.append((axis, expo))
-                    break
-            previous = exps
-    return axes
-
-
 # --- spec files ---------------------------------------------------------------
 
 
@@ -747,10 +532,24 @@ def _expo_to_json(exps: Sequence[Expo]) -> list:
     return [[str(i), j] for i, j in exps]
 
 
+def _monomial_from_json(value, where: str) -> Fraction:
+    """A monomial exponent is a string such as "3/2" within float range."""
+    if not isinstance(value, str):
+        raise ParseError(f"could not convert {value!r} to an exponent in {where}")
+    i = Fraction(value)
+    try:
+        float(i)
+    except OverflowError:
+        raise ParseError(f"exponent {value!r} out of range in {where}") from None
+    return i
+
+
 def _expo_from_json(raw, m: int, where: str) -> tuple[Expo, ...]:
     if len(require_list(raw, where)) != m:
         raise ParseError(f"{where}: expected {m} exponent pairs")
-    return tuple((Fraction(i), require_int(j, where)) for i, j in raw)
+    return tuple(
+        (_monomial_from_json(i, where), require_int(j, where)) for i, j in raw
+    )
 
 
 def spec_to_dict(spec: BenchmarkSpec) -> dict:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -33,6 +34,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_MODELING = 4
+
+# largest --reps and --values of `cost`: its counts stay printable
+MAX_BUDGET_ARG = 10**6
 
 
 def _model_report(models, exp) -> dict:
@@ -74,12 +78,11 @@ def _lead_text(model) -> str:
 def cmd_generate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    config = benchgen.GeneratorConfig()
     for idx in range(args.count):
         spec_seed = int(
             np.random.SeedSequence([args.seed, idx]).generate_state(1)[0]
         )
-        spec = benchgen.random_spec(spec_seed, args.params, args.kernels, config)
+        spec = benchgen.random_spec(spec_seed, args.params, args.kernels)
         benchgen.save_spec(spec, out / f"spec_{idx:03d}.json")
     print(f"wrote {args.count} benchmark specs to {out}")
     return EXIT_OK
@@ -220,10 +223,17 @@ def _params_arg(value: str) -> int:
     return m
 
 
+def _budget_arg(value: str) -> int:
+    n = int(value)
+    if not 1 <= n <= MAX_BUDGET_ARG:
+        raise argparse.ArgumentTypeError(f"must be in [1, {MAX_BUDGET_ARG}]")
+    return n
+
+
 def _fraction_arg(value: str) -> float:
     f = float(value)
-    if f < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
+    if not (math.isfinite(f) and f >= 0):
+        raise argparse.ArgumentTypeError("must be finite and >= 0")
     return f
 
 
@@ -236,7 +246,7 @@ def _selection_arg(value: str) -> float:
 
 def _intensity_list(value: str) -> list[float]:
     try:
-        return [float(v) for v in value.split(",") if v]
+        return [_fraction_arg(v) for v in value.split(",") if v]
     except ValueError:
         raise argparse.ArgumentTypeError("expected comma-separated percentages")
 
@@ -328,9 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_study_reps)
 
     p = sub.add_parser("cost", help="measurement budget of both approaches")
-    p.add_argument("--params", type=_positive_int, required=True)
-    p.add_argument("--reps", type=_positive_int, default=5)
-    p.add_argument("--values", type=_positive_int, default=5)
+    p.add_argument("--params", type=_params_arg, required=True)
+    p.add_argument("--reps", type=_budget_arg, default=5)
+    p.add_argument("--values", type=_budget_arg, default=5)
     p.set_defaults(func=cmd_cost)
 
     return parser

@@ -210,21 +210,15 @@ class ExperimentSet:
         raise KeyError(f"no call path named {name!r}")
 
 
-def aggregate(series: MetricSeries, stat: str = "median") -> dict[Coordinate, float]:
-    """Collapse repetition lists to one value per coordinate.
+def aggregate(series: MetricSeries) -> dict[Coordinate, float]:
+    """Collapse repetition lists to their median per coordinate.
 
     The median of an even-length list is the mean of the two middle order
     statistics.
     """
-    if stat == "median":
-        fn = statistics.median
-    elif stat == "min":
-        fn = min
-    elif stat == "mean":
-        fn = statistics.fmean
-    else:
-        raise ValidationError(f"unknown aggregation {stat!r}")
-    return {coord: float(fn(reps)) for coord, reps in series.data.items()}
+    return {
+        coord: float(statistics.median(reps)) for coord, reps in series.data.items()
+    }
 
 
 def subset_repetitions(series: MetricSeries, indices: Iterable[int]) -> MetricSeries:

@@ -229,14 +229,11 @@ def _study_row(
 
 def _noise_cell(args) -> list[tuple[float, float]]:
     (exp, truth, pattern, intensity, trials, seed, cell, pipeline, ranks,
-     test_point, reference, selection) = args
+     test_point, reference) = args
     out = []
     for trial in range(trials):
         config = NoiseConfig(
-            NoisePattern(pattern),
-            intensity,
-            selection,
-            _derived_seed(seed, cell, trial),
+            NoisePattern(pattern), intensity, seed=_derived_seed(seed, cell, trial)
         )
         models = run_pipeline(pipeline, inject(exp, config), ranks)
         out.append(_trial_metrics(models, truth, test_point, reference))
@@ -253,7 +250,6 @@ def noise_robustness_study(
     seed: int = 0,
     ranks_param: str | None = None,
     reference: Mapping[str, float] | None = None,
-    selection_fraction: float = 1.0,
     jobs: int = 1,
 ) -> StudyTable:
     """Inject noise per (intensity, pattern) cell and refit, many trials.
@@ -266,7 +262,7 @@ def noise_robustness_study(
     cells = [
         (
             exp, truth, pattern, float(intensity), trials, seed, cell_idx,
-            pipeline, ranks_param, test_point, reference, selection_fraction,
+            pipeline, ranks_param, test_point, reference,
         )
         for cell_idx, (intensity, pattern) in enumerate(
             itertools.product(intensities, patterns)

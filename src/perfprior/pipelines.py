@@ -21,7 +21,7 @@ def classic_models(exp: ExperimentSet) -> dict[str, PmnfModel]:
     models = {}
     for cp, metrics in exp.callpaths:
         try:
-            data = aggregate(metrics[METRIC_TIME], "median")
+            data = aggregate(metrics[METRIC_TIME])
             models[cp.name] = search(data, exp.space)
         except (InsufficientDataError, ModelingError, KeyError) as exc:
             raise ModelingError(f"classic modeling failed for {cp.name!r}: {exc}")

@@ -330,7 +330,7 @@ def model_from_skeleton(
     return PmnfModel(float(coefficients[0]), tuple(terms), skel.space_names)
 
 
-def skeleton_from_model(model: PmnfModel, labels: str = GENERIC) -> Skeleton:
+def skeleton_from_model(model: PmnfModel) -> Skeleton:
     """Strip coefficients from a model, keeping its structure."""
     n = len(model.space_names)
     bases = [constant_basis(n)]
@@ -340,4 +340,4 @@ def skeleton_from_model(model: PmnfModel, labels: str = GENERIC) -> Skeleton:
         if b.signature() not in seen:
             seen.add(b.signature())
             bases.append(b)
-    return Skeleton(model.space_names, tuple(bases), (labels,) * len(bases))
+    return Skeleton(model.space_names, tuple(bases))

@@ -150,7 +150,7 @@ def model_effort(
     cp, metrics = _resolve(exp, callpath)
     if metric not in metrics:
         raise ModelingError(f"call path {cp.name!r} lacks metric {metric!r}")
-    data = aggregate(metrics[metric], "median")
+    data = aggregate(metrics[metric])
     return search(data, exp.space)
 
 
@@ -177,7 +177,7 @@ def build_swc_model(
         ).skeleton
     if METRIC_TIME not in metrics:
         raise ModelingError(f"call path {cp.name!r} lacks metric {METRIC_TIME!r}")
-    time_data = aggregate(metrics[METRIC_TIME], "median")
+    time_data = aggregate(metrics[METRIC_TIME])
     return fit_skeleton_to_time(skeleton, time_data)
 
 

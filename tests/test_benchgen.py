@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -5,8 +7,7 @@ import pytest
 
 from conftest import fig2_spec
 from perfprior.benchgen import (
-    GeneratorConfig,
-    emit_source,
+    MIN_TERM_VALUE,
     ground_truth,
     load_spec,
     random_spec,
@@ -44,29 +45,29 @@ class TestRandomSpec:
                 elif kernel.mpi_op is not None:
                     assert kernel.message_elems_term is not None
 
-    def test_restricted_config(self):
-        config = GeneratorConfig(
-            message_monomials=(F(1),),
-            message_logs=(0,),
-            message_zero_prob=0.0,
-            ops=(MpiOp.BROADCAST,),
-        )
-        for seed in range(1, 21):
-            spec = random_spec(seed, 2, 1, config)
-            kernel = spec.kernels[0]
-            assert kernel.mpi_op is MpiOp.BROADCAST
-            for i, j in kernel.message_elems_term.exponents:
-                assert i == 1 and j == 0
-
     def test_term_floor_respected(self):
         from perfprior.benchgen import term_values
 
-        config = GeneratorConfig()
         for seed in range(1, 31):
-            spec = random_spec(seed, 2, 1, config)
+            spec = random_spec(seed, 2, 1)
             grid = np.array(spec.space.grid())
             for term, _ in spec.kernels[0].computation_terms:
-                assert term_values(term, grid).min() >= config.min_term_value
+                assert term_values(term, grid).min() >= MIN_TERM_VALUE
+
+    @pytest.mark.parametrize(
+        "seed, m, n_kernels, digest",
+        [
+            (0, 1, 1, "a97387b59d58779945b4ef168d9caff509c9b6eaef7c11a1f02ddd349960ab29"),
+            (7, 1, 3, "7c30ec023db9f1199df04f5131cb06b91d160a86e5142bb6d29bfd0c7b1df97f"),
+            (1, 2, 1, "9ce7e594a3a33851d73768c4f9acc2f13895c89cc2e2017072e9e8470daf29f5"),
+            (232, 2, 2, "f3c741c7ec851b1349dce91bedb37a0d9895f6827d67613dccb7589246a5b208"),
+            (74, 3, 2, "175a9751653902a2369f3f437b0c596ffeb6cd7dc085feb9eebad626f8e1f564"),
+            (1045, 3, 3, "fcc308b826f81fe28599af9593a0813c8324d375a0137309c2c4441d4300909e"),
+        ],
+    )
+    def test_draws_are_pinned(self, seed, m, n_kernels, digest):
+        doc = json.dumps(spec_to_dict(random_spec(seed, m, n_kernels)), sort_keys=True)
+        assert hashlib.sha256(doc.encode()).hexdigest() == digest
 
 
 class TestGroundTruth:
@@ -195,44 +196,6 @@ class TestSimulate:
             simulate_measurements(fig2_spec(), reps=1, baseline_noise=-0.1)
 
 
-class TestEmitSource:
-    def test_deterministic(self):
-        spec = random_spec(33, 2, 2)
-        assert emit_source(spec) == emit_source(spec)
-
-    def test_worked_example_structure(self):
-        text = emit_source(fig2_spec())
-        assert text.count("MPI_Bcast") == 1
-        assert "for (long i0 = 0; i0 < n; ++i0) {" in text
-        assert "for (long i1 = 0; i1 < p; ++i1) {" in text
-        assert "// GROUND_TRUTH" in text
-
-    def test_barrier_kernel_has_no_payload(self):
-        from perfprior.benchgen import BenchmarkSpec, ComplexityTerm, KernelSpec
-
-        spec = fig2_spec()
-        kernel = KernelSpec(
-            name="b00",
-            computation_terms=((ComplexityTerm(((F(0), 0), (F(1), 0))), 1e-7),),
-            loop_arrangement="sequential",
-            mpi_op=MpiOp.BARRIER,
-            message_elems_term=None,
-        )
-        text = emit_source(BenchmarkSpec(0, spec.space, (kernel,), "p"))
-        assert "MPI_Barrier" in text
-        assert "payload" not in text
-
-    def test_truth_header_is_machine_readable(self):
-        import json
-
-        text = emit_source(fig2_spec())
-        header = next(
-            line for line in text.splitlines() if line.startswith("// GROUND_TRUTH")
-        )
-        doc = json.loads(header.removeprefix("// GROUND_TRUTH "))
-        assert doc["k00"]["computation"]["n"] == ["1", 0]
-
-
 class TestSpecFiles:
     def test_round_trip(self, tmp_path):
         spec = random_spec(77, 3, 2)
@@ -241,8 +204,6 @@ class TestSpecFiles:
         assert load_spec(path) == spec
 
     def test_unknown_key_rejected(self, tmp_path):
-        import json
-
         doc = spec_to_dict(fig2_spec())
         doc["extra"] = True
         path = tmp_path / "bad.json"
@@ -251,8 +212,7 @@ class TestSpecFiles:
             load_spec(path)
 
     def test_exponents_survive_exactly(self, tmp_path):
-        config = GeneratorConfig()
-        spec = random_spec(5, 2, 1, config)
+        spec = random_spec(5, 2, 1)
         path = tmp_path / "spec.json"
         save_spec(spec, path)
         again = load_spec(path)

@@ -227,6 +227,29 @@ class TestInject:
         assert "(0, 1]" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--spec", "s.json", "--out", "e.json", "--baseline-noise", "nan"),
+        ("simulate", "--spec", "s.json", "--out", "e.json", "--baseline-noise", "inf"),
+        ("inject", "--experiment", "e.json", "--out", "n.json", "--intensity", "nan"),
+        ("inject", "--experiment", "e.json", "--out", "n.json", "--intensity", "inf"),
+        ("study-noise", "--spec", "s.json", "--intensities=-5"),
+        ("study-noise", "--spec", "s.json", "--intensities=10,nan"),
+    ],
+    ids=[
+        "baseline-noise-nan", "baseline-noise-inf", "intensity-nan",
+        "intensity-inf", "intensities-negative", "intensities-nan",
+    ],
+)
+def test_non_finite_or_negative_float_flag_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "finite and >= 0" in err
+
+
 class TestCost:
     def test_two_params(self, capsys):
         code, stdout, _ = run(capsys, "cost", "--params", "2")
@@ -236,6 +259,21 @@ class TestCost:
     def test_three_params(self, capsys):
         code, stdout, _ = run(capsys, "cost", "--params", "3")
         assert stdout.strip() == "classic=625 swc=250"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--params", "3000", "--values", "100"),
+            ("--params", "3", "--values", "1" + "0" * 1500),
+            ("--params", "4"),
+        ],
+        ids=["params-3000", "values-1e1500", "params-4"],
+    )
+    def test_out_of_range_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["cost", *argv])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.count("error:") == 1
 
 
 class TestStudies:
@@ -328,6 +366,9 @@ class TestMalformedDocuments:
             (TERM + ("exponents", 0, 1), 1.5),
             (KERNEL + ("elem_size",), "4"),
             (("format_version",), True),
+            (TERM + ("exponents", 0, 0), True),
+            (TERM + ("exponents", 0, 0), 1.5),
+            (TERM + ("exponents", 0, 0), "1e400"),
         ],
         ids=[
             "no-kernel-name", "no-message-elems-base", "no-term-coefficient",
@@ -335,7 +376,8 @@ class TestMalformedDocuments:
             "exponent-1/0", "string-alpha", "string-seed", "unknown-mpi-op",
             "overflowing-alpha", "numeric-string-alpha", "boolean-alpha",
             "fractional-seed", "fractional-log-exponent", "numeric-string-elem-size",
-            "boolean-format-version",
+            "boolean-format-version", "boolean-exponent", "numeric-exponent",
+            "overflowing-exponent",
         ],
     )
     def test_spec(self, tmp_path, capsys, path, value):

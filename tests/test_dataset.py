@@ -148,23 +148,22 @@ class TestRoundTrip:
 class TestAggregate:
     def test_median_odd(self):
         s = MetricSeries("time_s", {(2.0,): (3.0, 1.0, 2.0)})
-        assert aggregate(s, "median") == {(2.0,): 2.0}
+        assert aggregate(s) == {(2.0,): 2.0}
 
     def test_singleton_all_stats(self):
         s = MetricSeries("time_s", {(2.0,): (5.0,)})
-        for stat in ("median", "min", "mean"):
-            assert aggregate(s, stat) == {(2.0,): 5.0}
+        assert aggregate(s) == {(2.0,): 5.0}
 
     def test_median_even_is_mean_of_middles(self):
         s = MetricSeries("time_s", {(2.0,): (1.0, 2.0, 3.0, 10.0)})
-        assert aggregate(s, "median") == {(2.0,): 2.5}
+        assert aggregate(s) == {(2.0,): 2.5}
 
     def test_median_permutation_invariant(self):
         import itertools
 
         reps = (4.0, 1.0, 3.0, 2.0, 9.0)
         medians = {
-            aggregate(MetricSeries("time_s", {(2.0,): perm}), "median")[(2.0,)]
+            aggregate(MetricSeries("time_s", {(2.0,): perm}))[(2.0,)]
             for perm in itertools.permutations(reps)
         }
         assert medians == {3.0}

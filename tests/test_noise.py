@@ -32,11 +32,6 @@ class TestSample:
         with pytest.raises(ValidationError):
             NoisePattern("pink")
 
-    @pytest.mark.parametrize("a, b", [(0.5, 0.5), (-1.0, 0.0), (-2.0, -1.0)])
-    def test_zero_measure_truncated_normal_rejected(self, a, b):
-        with pytest.raises(ValidationError):
-            NoisePattern("truncated_normal", a=a, b=b)
-
 
 def small_exp(reps=5):
     return simulate_measurements(fig2_spec(), reps=reps, baseline_noise=0.0, seed=3)
