@@ -49,7 +49,7 @@ from .dataset import (
     write_document,
 )
 from .errors import ParseError, ValidationError
-from .pmnf import Expo, default_exponent_sets, leading_from_terms
+from .pmnf import Expo, default_exponent_sets, leading_from_terms, monomial_values
 from .priors import account_bytes
 
 SPEC_FORMAT_VERSION = 1
@@ -197,18 +197,6 @@ def default_space(m: int) -> ParameterSpace:
     return ParameterSpace(names, values)
 
 
-def term_values(term: ComplexityTerm, coords: np.ndarray) -> np.ndarray:
-    """Evaluate a term on an (N, m) coordinate array."""
-    coords = np.asarray(coords, dtype=float)
-    out = np.ones(coords.shape[0])
-    for l, (i, j) in enumerate(term.exponents):
-        if i:
-            out = out * coords[:, l] ** float(i)
-        if j:
-            out = out * np.log2(coords[:, l]) ** j
-    return out
-
-
 def _log_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
     return float(10.0 ** rng.uniform(math.log10(lo), math.log10(hi)))
 
@@ -240,6 +228,7 @@ def _draw_kernel(
 ) -> KernelSpec:
     m = space.m
     grid = np.array(space.grid())
+    logs = np.log2(grid)
     arrangement = "nested" if rng.random() < 0.5 else "sequential"
     axis_order = [int(a) for a in rng.permutation(m)]
 
@@ -254,7 +243,10 @@ def _draw_kernel(
                 terms.append(current)
         else:
             terms = [_axis_term(m, axis, functions[axis]) for axis in axis_order]
-        if all(term_values(t, grid).min() >= MIN_TERM_VALUE for t in terms):
+        if all(
+            monomial_values(t.exponents, grid, logs).min() >= MIN_TERM_VALUE
+            for t in terms
+        ):
             break
     else:
         raise ValidationError("could not draw terms above the minimum value floor")
@@ -378,10 +370,11 @@ def _kernel_signals(
     spec: BenchmarkSpec, kernel: KernelSpec, coords: np.ndarray
 ) -> dict[str, np.ndarray | None]:
     """Exact per-coordinate metrics of one kernel (no repetition noise)."""
+    logs = np.log2(coords)
     bb = np.zeros(coords.shape[0])
     time_comp = np.zeros(coords.shape[0])
     for term, coeff in kernel.computation_terms:
-        values = term_values(term, coords)
+        values = monomial_values(term.exponents, coords, logs)
         bb += np.rint(values) * kernel.bb_per_iteration
         time_comp += coeff * values
     payload = None
@@ -394,7 +387,8 @@ def _kernel_signals(
             payload = np.zeros(coords.shape[0])
         else:
             elems = np.rint(
-                kernel.message_elems_base * term_values(kernel.message_elems_term, coords)
+                kernel.message_elems_base
+                * monomial_values(kernel.message_elems_term.exponents, coords, logs)
             )
             payload = float(kernel.elem_size) * elems
         alpha, beta, gamma = kernel.true_alpha, kernel.true_beta, kernel.true_gamma
@@ -516,8 +510,9 @@ def root_bytes(spec: BenchmarkSpec, kernel: KernelSpec, coordinate: Coordinate) 
     if kernel.message_elems_term is None:
         elems = 0
     else:
-        value = term_values(
-            kernel.message_elems_term, np.array([coordinate], dtype=float)
+        coords = np.array([coordinate], dtype=float)
+        value = monomial_values(
+            kernel.message_elems_term.exponents, coords, np.log2(coords)
         )[0]
         elems = int(np.rint(kernel.message_elems_base * value))
     ranks_axis = spec.space.names.index(spec.ranks_param)

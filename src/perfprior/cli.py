@@ -136,64 +136,46 @@ def cmd_model(args) -> int:
     return EXIT_OK
 
 
-def _study_reference(spec, exp):
+def _study_command(args, study, **options) -> int:
+    """Run a study on the spec's simulated measurements; SWC counts MPI
+    ranks on the spec's ranks parameter."""
+    spec = benchgen.load_spec(args.spec)
+    exp = benchgen.simulate_measurements(
+        spec, args.reps, args.baseline_noise, args.seed
+    )
+    truth = benchgen.truth_by_callpath(spec)
     test_point = evaluation.next_test_point(exp.space)
-    reference = {}
-    for kernel in spec.kernels:
-        reference[benchgen.compute_callpath(kernel)] = benchgen.true_time(
-            spec, benchgen.compute_callpath(kernel), test_point
-        )
-        if kernel.mpi_op is not None:
-            reference[benchgen.comm_callpath(kernel)] = benchgen.true_time(
-                spec, benchgen.comm_callpath(kernel), test_point
-            )
-    return reference
-
-
-def _print_study(table, args) -> None:
+    table = study(
+        exp,
+        truth,
+        pipeline=args.pipeline,
+        seed=args.seed,
+        ranks_param=spec.ranks_param,
+        reference={n: benchgen.true_time(spec, n, test_point) for n in truth},
+        jobs=args.jobs,
+        **options,
+    )
     if args.out:
         write_document(table.to_dict(), args.out, sort_keys=True)
     if args.format == "machine":
         print(json.dumps(table.to_dict(), indent=1, sort_keys=True))
     else:
         print(table.render_text())
+    return EXIT_OK
 
 
 def cmd_study_noise(args) -> int:
-    spec = benchgen.load_spec(args.spec)
-    exp = benchgen.simulate_measurements(
-        spec, args.reps, args.baseline_noise, args.seed
-    )
-    table = evaluation.noise_robustness_study(
-        exp,
-        benchgen.truth_by_callpath(spec),
+    return _study_command(
+        args,
+        evaluation.noise_robustness_study,
         intensities=[v / 100.0 for v in args.intensities],
         patterns=args.patterns,
         trials=args.trials,
-        pipeline=args.pipeline,
-        seed=args.seed,
-        reference=_study_reference(spec, exp),
-        jobs=args.jobs,
     )
-    _print_study(table, args)
-    return EXIT_OK
 
 
 def cmd_study_reps(args) -> int:
-    spec = benchgen.load_spec(args.spec)
-    exp = benchgen.simulate_measurements(
-        spec, args.reps, args.baseline_noise, args.seed
-    )
-    table = evaluation.repetition_study(
-        exp,
-        benchgen.truth_by_callpath(spec),
-        pipeline=args.pipeline,
-        seed=args.seed,
-        reference=_study_reference(spec, exp),
-        jobs=args.jobs,
-    )
-    _print_study(table, args)
-    return EXIT_OK
+    return _study_command(args, evaluation.repetition_study)
 
 
 def cmd_cost(args) -> int:
@@ -213,6 +195,13 @@ def _positive_int(value: str) -> int:
     n = int(value)
     if n < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
+    return n
+
+
+def _subset_reps_arg(value: str) -> int:
+    n = int(value)
+    if n < 2:
+        raise argparse.ArgumentTypeError("must be >= 2")
     return n
 
 
@@ -244,15 +233,22 @@ def _selection_arg(value: str) -> float:
     return f
 
 
+def _nonempty_list(value: str) -> list[str]:
+    items = [v for v in value.split(",") if v]
+    if not items:
+        raise argparse.ArgumentTypeError("expected at least one value")
+    return items
+
+
 def _intensity_list(value: str) -> list[float]:
     try:
-        return [_fraction_arg(v) for v in value.split(",") if v]
+        return [_fraction_arg(v) for v in _nonempty_list(value)]
     except ValueError:
         raise argparse.ArgumentTypeError("expected comma-separated percentages")
 
 
 def _pattern_list(value: str) -> list[str]:
-    patterns = [v for v in value.split(",") if v]
+    patterns = _nonempty_list(value)
     for p in patterns:
         if p not in PATTERN_NAMES:
             raise argparse.ArgumentTypeError(f"unknown pattern {p!r}")
@@ -329,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("study-reps", help="repetition reduction study")
     p.add_argument("--spec", required=True)
     p.add_argument("--pipeline", choices=PIPELINES, default="swc")
-    p.add_argument("--reps", type=_positive_int, default=5)
+    p.add_argument("--reps", type=_subset_reps_arg, default=5)
     p.add_argument("--baseline-noise", type=_fraction_arg, default=0.5)
     p.add_argument("--seed", type=_seed_arg, default=0)
     p.add_argument("--jobs", type=_positive_int, default=1)

@@ -10,6 +10,7 @@ at desk scale the RE reference is the noise-free simulated runtime.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -35,6 +36,9 @@ from .pmnf import Expo, PmnfModel, evaluate, leading_exponents
 
 STUDY_FORMAT_VERSION = 1
 
+# most repetition subsets of one size that a repetition study refits
+MAX_SUBSETS = 64
+
 # ground truth: call path name -> parameter name -> leading (i, j)
 TruthExponents = Mapping[str, Mapping[str, Expo]]
 
@@ -56,9 +60,6 @@ class EdReport:
 
     def mean(self) -> float:
         return float(self.total() / len(self.deviations))
-
-    def max(self) -> Fraction:
-        return max(self.deviations.values())
 
 
 def exponent_deviation(m1: PmnfModel, m2: PmnfModel) -> EdReport:
@@ -202,42 +203,47 @@ def _derived_seed(seed: int, *path: int) -> int:
     return int(np.random.SeedSequence([seed, *path]).generate_state(1)[0])
 
 
-def _run_cells(cell_fn, cells: list, jobs: int) -> list:
-    """Run every study cell, in a process pool when jobs > 1 (same order)."""
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(cell_fn, cells))
-    return [cell_fn(c) for c in cells]
-
-
-def _study_row(
-    level: float, pattern: str, metrics: Sequence[tuple[float, float]]
-) -> StudyRow:
-    """Mean and spread of (ED, RE) over one cell's trials."""
-    eds = np.array([m[0] for m in metrics])
-    res = np.array([m[1] for m in metrics])
+def _run_cell(context: tuple, cell: tuple) -> StudyRow:
+    """Fit one row's trials: make_trial(exp, key) builds each trial's data."""
+    exp, pipeline, ranks_param, truth, test_point, reference = context
+    level, pattern, make_trial, keys = cell
+    eds, res = [], []
+    for key in keys:
+        models = run_pipeline(pipeline, make_trial(exp, key), ranks_param)
+        ed, re = _trial_metrics(models, truth, test_point, reference)
+        eds.append(ed)
+        res.append(re)
     return StudyRow(
         level=float(level),
         pattern=pattern,
-        mean_ed=float(eds.mean()),
-        std_ed=float(eds.std()),
-        mean_re_pct=float(res.mean()),
-        std_re_pct=float(res.std()),
-        trials=len(metrics),
+        mean_ed=float(np.mean(eds)),
+        std_ed=float(np.std(eds)),
+        mean_re_pct=float(np.mean(res)),
+        std_re_pct=float(np.std(res)),
+        trials=len(keys),
     )
 
 
-def _noise_cell(args) -> list[tuple[float, float]]:
-    (exp, truth, pattern, intensity, trials, seed, cell, pipeline, ranks,
-     test_point, reference) = args
-    out = []
-    for trial in range(trials):
-        config = NoiseConfig(
-            NoisePattern(pattern), intensity, seed=_derived_seed(seed, cell, trial)
-        )
-        models = run_pipeline(pipeline, inject(exp, config), ranks)
-        out.append(_trial_metrics(models, truth, test_point, reference))
-    return out
+def _run_study(
+    study: str, exp: ExperimentSet, truth: TruthExponents, pipeline: str,
+    ranks_param: str | None, reference: Mapping[str, float] | None,
+    cells: list[tuple], jobs: int,
+) -> StudyTable:
+    """One row per (level, pattern, make_trial, keys) cell, in a process
+    pool when jobs > 1 (same rows in the same order)."""
+    test_point = next_test_point(exp.space) if reference else None
+    run_cell = functools.partial(
+        _run_cell, (exp, pipeline, ranks_param, truth, test_point, reference)
+    )
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return StudyTable(study, pipeline, tuple(pool.map(run_cell, cells)))
+    return StudyTable(study, pipeline, tuple(map(run_cell, cells)))
+
+
+def _noisy(exp: ExperimentSet, key: tuple[str, float, int]) -> ExperimentSet:
+    pattern, intensity, seed = key
+    return inject(exp, NoiseConfig(NoisePattern(pattern), intensity, seed=seed))
 
 
 def noise_robustness_study(
@@ -258,48 +264,33 @@ def noise_robustness_study(
     reference values at the test point. Results are deterministic in the
     seed and independent of the parallelism degree.
     """
-    test_point = next_test_point(exp.space) if reference else None
     cells = [
         (
-            exp, truth, pattern, float(intensity), trials, seed, cell_idx,
-            pipeline, ranks_param, test_point, reference,
+            intensity, pattern, _noisy,
+            [
+                (pattern, float(intensity), _derived_seed(seed, cell, trial))
+                for trial in range(trials)
+            ],
         )
-        for cell_idx, (intensity, pattern) in enumerate(
+        for cell, (intensity, pattern) in enumerate(
             itertools.product(intensities, patterns)
         )
     ]
-    results = _run_cells(_noise_cell, cells, jobs)
-    rows = tuple(
-        _study_row(intensity, pattern, metrics)
-        for (intensity, pattern), metrics in zip(
-            itertools.product(intensities, patterns), results
-        )
+    return _run_study(
+        "noise", exp, truth, pipeline, ranks_param, reference, cells, jobs
     )
-    return StudyTable("noise", pipeline, rows)
 
 
-def _subsets(r: int, k: int, seed: int, limit: int) -> list[tuple[int, ...]]:
+def _subsets(r: int, k: int, seed: int) -> list[tuple[int, ...]]:
     """All k-subsets of range(r), or a seeded sample when there are many."""
-    total = math.comb(r, k)
-    if total <= limit:
+    if math.comb(r, k) <= MAX_SUBSETS:
         return list(itertools.combinations(range(r), k))
     rng = np.random.default_rng([seed, k])
     chosen: set[tuple[int, ...]] = set()
-    while len(chosen) < limit:
+    while len(chosen) < MAX_SUBSETS:
         pick = tuple(sorted(rng.choice(r, size=k, replace=False).tolist()))
         chosen.add(pick)
     return sorted(chosen)
-
-
-def _reps_cell(args) -> list[tuple[float, float]]:
-    exp, truth, k, seed, pipeline, ranks, test_point, reference, limit = args
-    r = exp.callpaths[0][1][METRIC_TIME].repetitions
-    out = []
-    for subset in _subsets(r, k, seed, limit):
-        restricted = _restrict_repetitions(exp, subset)
-        models = run_pipeline(pipeline, restricted, ranks)
-        out.append(_trial_metrics(models, truth, test_point, reference))
-    return out
 
 
 def _restrict_repetitions(exp: ExperimentSet, subset: Sequence[int]) -> ExperimentSet:
@@ -322,7 +313,6 @@ def repetition_study(
     seed: int = 0,
     ranks_param: str | None = None,
     reference: Mapping[str, float] | None = None,
-    max_subsets: int = 64,
     jobs: int = 1,
 ) -> StudyTable:
     """Refit on every subset of time repetitions, per subset size k."""
@@ -331,14 +321,10 @@ def repetition_study(
     r = exp.callpaths[0][1][METRIC_TIME].repetitions
     if r < 2:
         raise ValidationError("repetition study needs at least 2 repetitions")
-    test_point = next_test_point(exp.space) if reference else None
     cells = [
-        (exp, truth, k, seed, pipeline, ranks_param, test_point, reference,
-         max_subsets)
+        (k, "-", _restrict_repetitions, _subsets(r, k, seed))
         for k in range(1, r + 1)
     ]
-    results = _run_cells(_reps_cell, cells, jobs)
-    rows = tuple(
-        _study_row(k, "-", metrics) for k, metrics in zip(range(1, r + 1), results)
+    return _run_study(
+        "repetitions", exp, truth, pipeline, ranks_param, reference, cells, jobs
     )
-    return StudyTable("repetitions", pipeline, rows)

@@ -216,6 +216,22 @@ def evaluate(model: PmnfModel, at: Sequence[float]) -> float:
     return float(total)
 
 
+def monomial_values(
+    exponents: Sequence[Expo], coords: np.ndarray, logs: np.ndarray
+) -> np.ndarray:
+    """prod_l x_l^i_l * log2(x_l)^j_l on every row of an (N, m) float array.
+
+    logs is np.log2(coords), computed once for all monomials on coords.
+    """
+    col = np.ones(coords.shape[0])
+    for l, (i, j) in enumerate(exponents):
+        if i:
+            col = col * coords[:, l] ** float(i)
+        if j:
+            col = col * logs[:, l] ** j
+    return col
+
+
 def design_matrix(skel: Skeleton, coords: np.ndarray) -> np.ndarray:
     """Design matrix (one row per coordinate) for fitting the skeleton."""
     coords = np.asarray(coords, dtype=float)
@@ -224,12 +240,7 @@ def design_matrix(skel: Skeleton, coords: np.ndarray) -> np.ndarray:
     logs = np.log2(coords)
     a = np.empty((coords.shape[0], len(skel.bases)))
     for c, b in enumerate(skel.bases):
-        col = np.ones(coords.shape[0])
-        for l, (i, j) in enumerate(b.exponents):
-            if i:
-                col = col * coords[:, l] ** float(i)
-            if j:
-                col = col * logs[:, l] ** j
+        col = monomial_values(b.exponents, coords, logs)
         if b.ranks_fraction is not None:
             l = skel.space_names.index(b.ranks_fraction)
             col = col * (coords[:, l] - 1.0) / coords[:, l]

@@ -47,10 +47,6 @@ from .pmnf import (
     skeleton_from_model,
 )
 
-INT_SIZE = 4
-DOUBLE_SIZE = 8
-
-
 @dataclass(frozen=True)
 class CommPrior:
     """Labeled skeleton for one communication operation."""

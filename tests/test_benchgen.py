@@ -46,13 +46,14 @@ class TestRandomSpec:
                     assert kernel.message_elems_term is not None
 
     def test_term_floor_respected(self):
-        from perfprior.benchgen import term_values
+        from perfprior.pmnf import monomial_values
 
         for seed in range(1, 31):
             spec = random_spec(seed, 2, 1)
             grid = np.array(spec.space.grid())
             for term, _ in spec.kernels[0].computation_terms:
-                assert term_values(term, grid).min() >= MIN_TERM_VALUE
+                values = monomial_values(term.exponents, grid, np.log2(grid))
+                assert values.min() >= MIN_TERM_VALUE
 
     @pytest.mark.parametrize(
         "seed, m, n_kernels, digest",

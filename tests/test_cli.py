@@ -228,26 +228,41 @@ class TestInject:
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ("simulate", "--spec", "s.json", "--out", "e.json", "--baseline-noise", "nan"),
-        ("simulate", "--spec", "s.json", "--out", "e.json", "--baseline-noise", "inf"),
-        ("inject", "--experiment", "e.json", "--out", "n.json", "--intensity", "nan"),
-        ("inject", "--experiment", "e.json", "--out", "n.json", "--intensity", "inf"),
-        ("study-noise", "--spec", "s.json", "--intensities=-5"),
-        ("study-noise", "--spec", "s.json", "--intensities=10,nan"),
+        (("simulate", "--spec", "s.json", "--out", "e.json",
+          "--baseline-noise", "nan"), "finite and >= 0"),
+        (("simulate", "--spec", "s.json", "--out", "e.json",
+          "--baseline-noise", "inf"), "finite and >= 0"),
+        (("inject", "--experiment", "e.json", "--out", "n.json",
+          "--intensity", "nan"), "finite and >= 0"),
+        (("inject", "--experiment", "e.json", "--out", "n.json",
+          "--intensity", "inf"), "finite and >= 0"),
+        (("study-noise", "--spec", "s.json", "--intensities=-5"),
+         "finite and >= 0"),
+        (("study-noise", "--spec", "s.json", "--intensities=10,nan"),
+         "finite and >= 0"),
+        (("study-noise", "--spec", "s.json", "--intensities", ","),
+         "at least one value"),
+        (("study-noise", "--spec", "s.json", "--patterns", ","),
+         "at least one value"),
+        (("study-reps", "--spec", "s.json", "--reps", "1"), "must be >= 2"),
     ],
     ids=[
         "baseline-noise-nan", "baseline-noise-inf", "intensity-nan",
         "intensity-inf", "intensities-negative", "intensities-nan",
+        "intensities-empty", "patterns-empty", "study-reps-1",
     ],
 )
-def test_non_finite_or_negative_float_flag_exits_2(capsys, argv):
+def test_non_finite_or_negative_float_flag_exits_2(capsys, argv, message):
+    """A bad flag value exits 2 with one error line that names its bound:
+    a noise level that is not a finite number >= 0, an empty list, or a
+    repetition study of fewer than 2 repetitions."""
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.count("error:") == 1 and "finite and >= 0" in err
+    assert err.count("error:") == 1 and message in err
 
 
 class TestCost:
@@ -296,10 +311,18 @@ class TestStudies:
         assert stdout1 == stdout2
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_jobs_do_not_change_results(self, spec_file, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "study",
+        [
+            ("study-noise", "--intensities", "50", "--patterns", "uniform",
+             "--trials", "2"),
+            ("study-reps", "--reps", "3"),
+        ],
+        ids=["noise", "reps"],
+    )
+    def test_jobs_do_not_change_results(self, spec_file, tmp_path, capsys, study):
         args = (
-            "study-noise", "--spec", str(spec_file), "--pipeline", "classic",
-            "--intensities", "50", "--patterns", "uniform", "--trials", "2",
+            *study, "--spec", str(spec_file), "--pipeline", "classic",
             "--seed", "5",
         )
         out1, out2 = tmp_path / "j1.json", tmp_path / "j2.json"
@@ -318,6 +341,40 @@ class TestStudies:
         doc = json.loads(out.read_text())
         assert [r["level"] for r in doc["rows"]] == [1.0, 2.0, 3.0]
         assert all(r["std_ed"] == 0.0 for r in doc["rows"])
+
+    @pytest.mark.parametrize(
+        "study",
+        [
+            ("study-noise", "--intensities", "0", "--patterns", "uniform",
+             "--trials", "1"),
+            ("study-reps", "--reps", "2", "--baseline-noise", "0"),
+        ],
+        ids=["noise", "reps"],
+    )
+    def test_swc_counts_ranks_on_the_spec_ranks_parameter(
+        self, tmp_path, capsys, study
+    ):
+        # a scatter kernel with the ranks parameter p listed second: SWC
+        # must take the rank count from p, not from the first parameter
+        doc = spec_to_dict(random_spec(3, 2, 1))
+        assert doc["ranks_param"] == "p"
+        assert doc["kernels"][0]["mpi_op"] == "scatter"
+        doc["parameters"].reverse()
+        kernel = doc["kernels"][0]
+        for term in kernel["computation_terms"]:
+            term["exponents"].reverse()
+        kernel["message_elems_term"].reverse()
+        spec = tmp_path / "swapped.json"
+        spec.write_text(json.dumps(doc))
+        out = tmp_path / "study.json"
+        code, _, _ = run(
+            capsys, *study, "--spec", str(spec), "--pipeline", "swc",
+            "--out", str(out),
+        )
+        assert code == 0
+        for row in json.loads(out.read_text())["rows"]:
+            assert row["mean_ed"] == 0.0
+            assert row["mean_re_pct"] < 1e-6
 
 
 DELETE = object()

@@ -319,24 +319,30 @@ class TestStudies:
                 unstable += 1
         assert unstable >= total - 1
 
-    def test_parallel_equals_sequential(self):
+    @pytest.mark.parametrize(
+        "study, baseline_noise, options",
+        [
+            (
+                noise_robustness_study,
+                0.0,
+                dict(intensities=[0.1, 0.5], patterns=["uniform"], trials=2),
+            ),
+            # baseline noise makes every repetition subset a different fit
+            (repetition_study, 0.5, {}),
+        ],
+        ids=["noise", "reps"],
+    )
+    def test_parallel_equals_sequential(self, study, baseline_noise, options):
         spec = random_spec(13, 2, 1)
-        exp = simulate_measurements(spec, reps=3)
+        exp = simulate_measurements(spec, reps=3, baseline_noise=baseline_noise)
         truth = truth_by_callpath(spec)
         reference = {
             name: true_time(spec, name, next_test_point(exp.space))
             for name in truth
         }
-        kwargs = dict(
-            intensities=[0.1, 0.5],
-            patterns=["uniform"],
-            trials=2,
-            pipeline="classic",
-            seed=9,
-            reference=reference,
-        )
-        seq = noise_robustness_study(exp, truth, **kwargs, jobs=1)
-        par = noise_robustness_study(exp, truth, **kwargs, jobs=2)
+        kwargs = dict(pipeline="classic", seed=9, reference=reference, **options)
+        seq = study(exp, truth, **kwargs, jobs=1)
+        par = study(exp, truth, **kwargs, jobs=2)
         assert seq == par
 
     def test_table_serialization(self):
