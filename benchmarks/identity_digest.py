@@ -10,6 +10,8 @@ Classes, each hashed over its documents in a fixed order:
 
 - `generate`: `generate --count 1` for seeds 0-39 at m = 1, 2, 3 with
   1, 2 and 3 kernels (360 spec files);
+- `simulate`: the `simulate` experiment files of the model sweep below
+  (280 files), which pin the simulator's runtimes, blocks and bytes;
 - `model/<pipeline>`: `model --format machine` stdout for `random_spec`
   seeds 0-119 at m = 1 and m = 2 and 0-39 at m = 3, 2 kernels, 5
   repetitions, 50 % uniform noise (280 fits per pipeline, 560 in all);
@@ -59,19 +61,23 @@ def generate_digest(work: Path) -> str:
 
 def model_digests(work: Path) -> dict[str, str]:
     digests = {p: hashlib.sha256() for p in PIPELINES}
+    simulated = hashlib.sha256()
     spec, exp, noisy = work / "spec.json", work / "exp.json", work / "noisy.json"
     for m, seeds in MODEL_SEEDS.items():
         for seed in seeds:
             benchgen.save_spec(benchgen.random_spec(seed, m, 2), spec)
             run("simulate", "--spec", spec, "--reps", 5, "--seed", seed,
                 "--out", exp)
+            simulated.update(exp.read_bytes())
             run("inject", "--experiment", exp, "--pattern", "uniform",
                 "--intensity", 50, "--seed", seed, "--out", noisy)
             for p in PIPELINES:
                 report = run("model", "--experiment", noisy, "--pipeline", p,
                              "--format", "machine")
                 digests[p].update(report.encode())
-    return {f"model/{p}": d.hexdigest() for p, d in digests.items()}
+    return {"simulate": simulated.hexdigest()} | {
+        f"model/{p}": d.hexdigest() for p, d in digests.items()
+    }
 
 
 def study_digests(work: Path) -> dict[str, str]:

@@ -50,19 +50,9 @@ from .dataset import (
 )
 from .errors import ParseError, ValidationError
 from .pmnf import Expo, default_exponent_sets, leading_from_terms, monomial_values
-from .priors import account_bytes
+from .priors import B, B_FRAC, COST_FORMS, LOG_P, account_bytes, has_factor
 
 SPEC_FORMAT_VERSION = 1
-
-_COLLECTIVES_WITH_LOG = (
-    MpiOp.BROADCAST,
-    MpiOp.SCATTER,
-    MpiOp.GATHER,
-    MpiOp.ALLGATHER,
-    MpiOp.REDUCE,
-    MpiOp.ALLREDUCE,
-    MpiOp.BARRIER,
-)
 
 
 @dataclass(frozen=True)
@@ -114,9 +104,11 @@ class KernelSpec:
         for _, coeff in self.computation_terms:
             if not (coeff > 0):
                 raise ValidationError("computation coefficients must be positive")
-        if self.mpi_op is MpiOp.BARRIER:
+        if self.mpi_op is not None and not has_factor(self.mpi_op, B, B_FRAC):
             if self.message_elems_term is not None:
-                raise ValidationError("barrier kernels carry no message term")
+                raise ValidationError(
+                    f"{self.mpi_op.value} kernels carry no message term"
+                )
         elif (self.mpi_op is None) != (self.message_elems_term is None):
             raise ValidationError(
                 "mpi_op and message term must be present together"
@@ -254,7 +246,7 @@ def _draw_kernel(
     computation = tuple((t, _log_uniform(rng, *COEFF_RANGE)) for t in terms)
     op = MPI_OPS[rng.integers(len(MPI_OPS))]
     message = None
-    if op is not MpiOp.BARRIER:
+    if has_factor(op, B, B_FRAC):
         while True:
             exps: list[Expo] = []
             for _ in range(m):
@@ -311,7 +303,7 @@ def _comm_truth_terms(
     m = spec.space.m
     ranks_axis = spec.space.names.index(spec.ranks_param)
     terms = []
-    if kernel.mpi_op in _COLLECTIVES_WITH_LOG:
+    if has_factor(kernel.mpi_op, LOG_P):
         log_exps: list[Expo] = [(Fraction(0), 0)] * m
         log_exps[ranks_axis] = (Fraction(0), 1)
         terms.append(tuple(log_exps))
@@ -391,21 +383,15 @@ def _kernel_signals(
                 * monomial_values(kernel.message_elems_term.exponents, coords, logs)
             )
             payload = float(kernel.elem_size) * elems
-        alpha, beta, gamma = kernel.true_alpha, kernel.true_beta, kernel.true_gamma
-        if op in (MpiOp.SEND, MpiOp.RECEIVE):
-            time_comm = alpha + beta * payload
-        elif op is MpiOp.BROADCAST:
-            time_comm = alpha * np.log2(p) + beta * payload
-        elif op in (MpiOp.SCATTER, MpiOp.GATHER, MpiOp.ALLGATHER):
-            time_comm = alpha * np.log2(p) + beta * payload * (p - 1.0) / p
-        elif op in (MpiOp.REDUCE, MpiOp.ALLREDUCE):
-            time_comm = (
-                alpha * np.log2(p)
-                + beta * payload
-                + gamma * payload * (p - 1.0) / p
-            )
-        elif op is MpiOp.BARRIER:
-            time_comm = alpha * np.log2(p)
+        time_comm = 0.0 if has_factor(op, LOG_P) else kernel.true_alpha
+        for factor, label in COST_FORMS[op]:
+            c = getattr(kernel, f"true_{label}")  # beta -> true_beta
+            if factor == LOG_P:
+                time_comm = time_comm + c * np.log2(p)
+            elif factor == B:
+                time_comm = time_comm + c * payload
+            else:
+                time_comm = time_comm + c * payload * (p - 1.0) / p
     return {"bb": bb, "time_comp": time_comp, "bytes": payload, "time_comm": time_comm}
 
 

@@ -119,6 +119,8 @@ def cmd_inject(args) -> int:
 
 def cmd_model(args) -> int:
     exp = load_experiment(args.experiment)
+    if args.ranks_param not in (None, *exp.space.names):
+        raise PerfPriorError(f"ranks parameter {args.ranks_param!r} not in space")
     models = run_pipeline(args.pipeline, exp, args.ranks_param)
     report = _model_report(models, exp)
     report["pipeline"] = args.pipeline
@@ -184,39 +186,27 @@ def cmd_cost(args) -> int:
     return EXIT_OK
 
 
-def _seed_arg(value: str) -> int:
-    n = int(value)
-    if n < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return n
+def _int_arg(name: str, lo: int, hi: int | None = None, message: str = ""):
+    """argparse type for integers in [lo, hi], unbounded above if hi is None.
+    argparse reports a value that is no integer as an invalid `name` value."""
+    if not message:
+        message = f"must be >= {lo}" if hi is None else f"must be in [{lo}, {hi}]"
+
+    def parse(value: str) -> int:
+        n = int(value)
+        if n < lo or (hi is not None and n > hi):
+            raise argparse.ArgumentTypeError(message)
+        return n
+
+    parse.__name__ = name
+    return parse
 
 
-def _positive_int(value: str) -> int:
-    n = int(value)
-    if n < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return n
-
-
-def _subset_reps_arg(value: str) -> int:
-    n = int(value)
-    if n < 2:
-        raise argparse.ArgumentTypeError("must be >= 2")
-    return n
-
-
-def _params_arg(value: str) -> int:
-    m = int(value)
-    if not 1 <= m <= 3:
-        raise argparse.ArgumentTypeError("out of supported range: m <= 3")
-    return m
-
-
-def _budget_arg(value: str) -> int:
-    n = int(value)
-    if not 1 <= n <= MAX_BUDGET_ARG:
-        raise argparse.ArgumentTypeError(f"must be in [1, {MAX_BUDGET_ARG}]")
-    return n
+_seed_arg = _int_arg("_seed_arg", 0)
+_positive_int = _int_arg("_positive_int", 1)
+_subset_reps_arg = _int_arg("_subset_reps_arg", 2)
+_params_arg = _int_arg("_params_arg", 1, 3, "out of supported range: m <= 3")
+_budget_arg = _int_arg("_budget_arg", 1, MAX_BUDGET_ARG)
 
 
 def _fraction_arg(value: str) -> float:

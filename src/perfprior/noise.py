@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import METRIC_TIME, ExperimentSet, MetricSeries
-from .errors import ValidationError
+from .errors import PerfPriorError, ValidationError
 
 PATTERN_NAMES = (
     "none",
@@ -99,6 +99,11 @@ def inject(exp: ExperimentSet, config: NoiseConfig) -> ExperimentSet:
                     if rng.random() <= config.selection_fraction:
                         s = sample(config.pattern, rng)
                         y = y * (1.0 + config.intensity * s)
+                        if not math.isfinite(y):
+                            raise PerfPriorError(
+                                f"noise intensity {100 * config.intensity:g}% "
+                                f"overflows the runtime at {coord}"
+                            )
                     reps.append(y)
                 data[coord] = tuple(reps)
             new_metrics[metric] = MetricSeries(metric, data, series.rep_ids)

@@ -12,8 +12,10 @@ transfer beta, per-byte computation gamma):
     reduce/allreduce    log2(p) alpha + (beta + (p-1)/p gamma) B
     barrier             log2(p) alpha
 
-Barrier carries no payload; its log2(p) latency form follows the same
-tree-transfer argument as the collectives and is our extension. The
+`COST_FORMS` is the code's only copy of this table: the prior, the
+simulated runtimes, the ground-truth log term and the byte accounting all
+read it. Barrier carries no payload; its log2(p) latency form follows the
+same tree-transfer argument as the collectives and is our extension. The
 constant of the bytes model is dropped when forming B terms: a constant
 payload is absorbed by the skeleton's constant and latency bases.
 """
@@ -47,6 +49,31 @@ from .pmnf import (
     skeleton_from_model,
 )
 
+# The factors a cost-form coefficient multiplies.
+LOG_P = "log2(p)"
+B = "B"
+B_FRAC = "B(p-1)/p"
+
+# Each op's (factor, label) pairs after the constant, in basis order. An op
+# without a log2(p) factor pays its alpha in the constant.
+COST_FORMS: dict[MpiOp, tuple[tuple[str, str], ...]] = {
+    MpiOp.SEND: ((B, BETA),),
+    MpiOp.RECEIVE: ((B, BETA),),
+    MpiOp.BROADCAST: ((LOG_P, ALPHA), (B, BETA)),
+    MpiOp.SCATTER: ((LOG_P, ALPHA), (B_FRAC, BETA)),
+    MpiOp.GATHER: ((LOG_P, ALPHA), (B_FRAC, BETA)),
+    MpiOp.ALLGATHER: ((LOG_P, ALPHA), (B_FRAC, BETA)),
+    MpiOp.REDUCE: ((LOG_P, ALPHA), (B, BETA), (B_FRAC, GAMMA)),
+    MpiOp.ALLREDUCE: ((LOG_P, ALPHA), (B, BETA), (B_FRAC, GAMMA)),
+    MpiOp.BARRIER: ((LOG_P, ALPHA),),
+}
+
+
+def has_factor(op: MpiOp, *factors: str) -> bool:
+    """Whether the op's cost form has any of the given factors."""
+    return any(factor in factors for factor, _ in COST_FORMS[op])
+
+
 @dataclass(frozen=True)
 class CommPrior:
     """Labeled skeleton for one communication operation."""
@@ -73,41 +100,24 @@ def derive_communication_prior(
 
     log_exps: list = [(Fraction(0), 0)] * n
     log_exps[ranks_axis] = (Fraction(0), 1)
-    log_basis = BasisFunction(tuple(log_exps))
-    b_terms = [
-        BasisFunction(t.exponents)
-        for t in sorted(bytes_model.terms, key=lambda t: t.signature())
-    ]
-    b_frac_terms = [
-        BasisFunction(b.exponents, ranks_param) for b in b_terms
+    b_exps = [
+        t.exponents for t in sorted(bytes_model.terms, key=lambda t: t.signature())
     ]
 
     bases: list[BasisFunction] = [constant_basis(n)]
     labels: list[str] = [GENERIC]
-    if op in (MpiOp.SEND, MpiOp.RECEIVE):
-        parts = [(b, BETA) for b in b_terms]
-    elif op is MpiOp.BROADCAST:
-        parts = [(log_basis, ALPHA)] + [(b, BETA) for b in b_terms]
-    elif op in (MpiOp.SCATTER, MpiOp.GATHER, MpiOp.ALLGATHER):
-        parts = [(log_basis, ALPHA)] + [(b, BETA) for b in b_frac_terms]
-    elif op in (MpiOp.REDUCE, MpiOp.ALLREDUCE):
-        parts = (
-            [(log_basis, ALPHA)]
-            + [(b, BETA) for b in b_terms]
-            + [(b, GAMMA) for b in b_frac_terms]
-        )
-    elif op is MpiOp.BARRIER:
-        parts = [(log_basis, ALPHA)]
-    else:  # pragma: no cover - MpiOp is a closed enum
-        raise ValidationError(f"unknown MPI operation {op!r}")
-
     seen = {bases[0].signature()}
-    for basis, label in parts:
-        if basis.signature() in seen:
-            continue
-        seen.add(basis.signature())
-        bases.append(basis)
-        labels.append(label)
+    for factor, label in COST_FORMS[op]:
+        if factor == LOG_P:
+            factor_bases = [BasisFunction(tuple(log_exps))]
+        else:
+            fraction = ranks_param if factor == B_FRAC else None
+            factor_bases = [BasisFunction(exps, fraction) for exps in b_exps]
+        for basis in factor_bases:
+            if basis.signature() not in seen:
+                seen.add(basis.signature())
+                bases.append(basis)
+                labels.append(label)
     return CommPrior(op, Skeleton(names, tuple(bases), tuple(labels)))
 
 
@@ -128,9 +138,9 @@ def account_bytes(
     if p < 1 or int(p) != p:
         raise ValidationError("rank count must be a positive integer")
     payload = int(elem_count) * int(elem_size)
-    if op is MpiOp.BARRIER:
+    if not has_factor(op, B, B_FRAC):
         return 0, 0
-    if op in (MpiOp.SEND, MpiOp.RECEIVE):
+    if not has_factor(op, LOG_P):  # point to point
         return payload, payload
     # collectives: the root (or every rank, for all- variants) aggregates
     # one payload per rank

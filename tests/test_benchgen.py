@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -189,6 +190,53 @@ class TestSimulate:
         for cp, metrics in exp.callpaths:
             for coord, reps in metrics["time_s"].data.items():
                 assert true_time(spec, cp.name, coord) == reps[0]
+
+    @pytest.mark.parametrize("op", list(MpiOp), ids=lambda op: op.value)
+    def test_comm_time_and_log_term_follow_the_cost_forms(self, op):
+        """Simulated communication time and the ground-truth log2(p) term
+        against the cost forms written out by hand, per operation."""
+        from perfprior.benchgen import BenchmarkSpec, ComplexityTerm, KernelSpec
+
+        a, b, g = 3e-5, 2e-9, 4e-10
+        forms = {
+            "send": lambda p, B: a + b * B,
+            "receive": lambda p, B: a + b * B,
+            "broadcast": lambda p, B: a * math.log2(p) + b * B,
+            "scatter": lambda p, B: a * math.log2(p) + b * B * (p - 1) / p,
+            "gather": lambda p, B: a * math.log2(p) + b * B * (p - 1) / p,
+            "allgather": lambda p, B: a * math.log2(p) + b * B * (p - 1) / p,
+            "reduce": lambda p, B: (
+                a * math.log2(p) + b * B + g * B * (p - 1) / p
+            ),
+            "allreduce": lambda p, B: (
+                a * math.log2(p) + b * B + g * B * (p - 1) / p
+            ),
+            "barrier": lambda p, B: a * math.log2(p),
+        }
+        has_log = op.value not in ("send", "receive")
+        payload = op.value != "barrier"
+        kernel = KernelSpec(
+            name="c00",
+            computation_terms=((ComplexityTerm(((F(0), 0), (F(1), 0))), 1e-7),),
+            loop_arrangement="sequential",
+            mpi_op=op,
+            message_elems_term=(
+                ComplexityTerm(((F(0), 0), (F(1), 0))) if payload else None
+            ),
+            elem_size=4,
+            true_alpha=a,
+            true_beta=b,
+            true_gamma=g,
+        )
+        spec = BenchmarkSpec(0, fig2_spec().space, (kernel,), "p")
+        for p, n in ((128.0, 8000.0), (96.0, 1234.0)):
+            B = 4 * n if payload else 0.0
+            assert true_time(spec, f"c00/{op.value}", (p, n)) == pytest.approx(
+                forms[op.value](p, B), rel=1e-12
+            )
+        comm = ground_truth(spec)["c00"]["communication"]
+        assert comm["p"] == ((F(0), 1) if has_log else (F(0), 0))
+        assert comm["n"] == ((F(1), 0) if payload else (F(0), 0))
 
     def test_invalid_args(self):
         with pytest.raises(ValidationError):

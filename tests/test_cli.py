@@ -18,7 +18,7 @@ from perfprior.benchgen import (
     spec_to_dict,
 )
 from perfprior.cli import main
-from perfprior.dataset import experiment_to_dict, load_experiment
+from perfprior.dataset import experiment_to_dict, load_experiment, save_experiment
 
 
 def run(capsys, *argv):
@@ -158,6 +158,15 @@ class TestModel:
         assert code == 4
         assert "k00/broadcast" in err
 
+    @pytest.mark.parametrize("pipeline", ["classic", "swc"])
+    def test_unknown_ranks_param_exits_2(self, experiment_file, capsys, pipeline):
+        code, stdout, err = run(
+            capsys, "model", "--experiment", str(experiment_file),
+            "--pipeline", pipeline, "--ranks-param", "zz",
+        )
+        assert code == 2 and stdout == ""
+        assert err == "error: ranks parameter 'zz' not in space\n"
+
     def test_machine_format(self, experiment_file, capsys):
         code, stdout, _ = run(
             capsys, "model", "--experiment", str(experiment_file),
@@ -247,22 +256,39 @@ class TestInject:
         (("study-noise", "--spec", "s.json", "--patterns", ","),
          "at least one value"),
         (("study-reps", "--spec", "s.json", "--reps", "1"), "must be >= 2"),
+        (("inject", "--experiment", "e.json", "--out", "n.json",
+          "--intensity", "1e308"), "intensity 1e+308% overflows"),
+        (("study-noise", "--spec", "s.json", "--intensities", "1e308",
+          "--patterns", "uniform", "--trials", "1"),
+         "intensity 1e+308% overflows"),
     ],
     ids=[
         "baseline-noise-nan", "baseline-noise-inf", "intensity-nan",
         "intensity-inf", "intensities-negative", "intensities-nan",
         "intensities-empty", "patterns-empty", "study-reps-1",
+        "intensity-overflows", "intensities-overflow",
     ],
 )
-def test_non_finite_or_negative_float_flag_exits_2(capsys, argv, message):
+def test_non_finite_or_negative_float_flag_exits_2(
+    tmp_path, monkeypatch, capsys, argv, message
+):
     """A bad flag value exits 2 with one error line that names its bound:
-    a noise level that is not a finite number >= 0, an empty list, or a
-    repetition study of fewer than 2 repetitions."""
-    with pytest.raises(SystemExit) as exc:
-        main(list(argv))
-    assert exc.value.code == 2
+    a noise level that is not a finite number >= 0 or that overflows a
+    runtime, an empty list, or a repetition study of fewer than 2
+    repetitions."""
+    # runtimes of 7e3 s and more: a noise of 1e308 % overflows them
+    monkeypatch.chdir(tmp_path)
+    spec = random_spec(0, 2, 1)
+    save_spec(spec, "s.json")
+    save_experiment(simulate_measurements(spec, reps=2), "e.json")
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and message in err
+    assert not (tmp_path / "n.json").exists()
 
 
 class TestCost:
