@@ -18,7 +18,11 @@ Classes, each hashed over its documents in a fixed order:
 - `study-noise/<pipeline>/<pattern>`: one `study-noise` JSON per noise
   pattern on `random_spec(1, 2, 2)`, intensities 10 % and 75 %, 3 trials;
 - `study-reps/<pipeline>`: one `study-reps` JSON on the same spec,
-  4 repetitions at baseline noise 0.5.
+  4 repetitions at baseline noise 0.5;
+- `truth`: every call path's ground-truth leading exponents
+  (`truth_by_callpath`) and its noise-free runtime (`true_time`) at
+  `next_test_point`, for `random_spec` seeds 0-119 at m = 1, 2, 3 with
+  3 kernels.
 
 It takes about half a minute on a 2-core machine.
 """
@@ -30,11 +34,12 @@ import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
-from perfprior import benchgen, cli
+from perfprior import benchgen, cli, evaluation
 
 PIPELINES = ("classic", "swc")
 PATTERNS = ("uniform", "truncated_normal", "scaled_poisson", "scaled_exponential")
 MODEL_SEEDS = {1: range(120), 2: range(120), 3: range(40)}
+TRUTH_SEEDS = range(120)
 
 
 def run(*argv) -> str:
@@ -98,12 +103,26 @@ def study_digests(work: Path) -> dict[str, str]:
     return digests
 
 
+def truth_digest() -> str:
+    digest = hashlib.sha256()
+    for m in (1, 2, 3):
+        for seed in TRUTH_SEEDS:
+            spec = benchgen.random_spec(seed, m, 3)
+            point = evaluation.next_test_point(spec.space)
+            for name, lead in benchgen.truth_by_callpath(spec).items():
+                exps = " ".join(f"{p}:{i},{j}" for p, (i, j) in lead.items())
+                runtime = benchgen.true_time(spec, name, point).hex()
+                digest.update(f"{name} {exps} {runtime}\n".encode())
+    return digest.hexdigest()
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         digests = {"generate": generate_digest(work)}
         digests.update(model_digests(work))
         digests.update(study_digests(work))
+    digests["truth"] = truth_digest()
     for name, value in digests.items():
         print(f"{value}  {name}")
 

@@ -38,7 +38,6 @@ from .modeler import (
     single_param_hypotheses,
 )
 from .priors import (
-    CommPrior,
     account_bytes,
     build_swc_model,
     derive_communication_prior,
@@ -50,9 +49,9 @@ from .benchgen import (
     BenchmarkSpec,
     ComplexityTerm,
     KernelSpec,
-    ground_truth,
     random_spec,
     simulate_measurements,
+    truth_by_callpath,
 )
 from .evaluation import (
     EdReport,

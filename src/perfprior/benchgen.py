@@ -30,8 +30,7 @@ import numpy as np
 from .dataset import (
     KIND_COMMUNICATION,
     KIND_COMPUTATION,
-    METRIC_BASIC_BLOCKS,
-    METRIC_BYTES,
+    EFFORT_METRIC,
     METRIC_TIME,
     CallPath,
     Coordinate,
@@ -50,7 +49,7 @@ from .dataset import (
 )
 from .errors import ParseError, ValidationError
 from .pmnf import Expo, default_exponent_sets, leading_from_terms, monomial_values
-from .priors import B, B_FRAC, COST_FORMS, LOG_P, account_bytes, has_factor
+from .priors import B, B_FRAC, COST_FORMS, LOG_P, has_factor
 
 SPEC_FORMAT_VERSION = 1
 
@@ -292,76 +291,45 @@ def random_spec(seed: int, m: int, n_kernels: int = 1) -> BenchmarkSpec:
     )
 
 
-# --- ground truth -----------------------------------------------------------
+# --- call paths, ground truth and analytic simulation -----------------------
 
 
-def _comm_truth_terms(
+def _callpaths(
     spec: BenchmarkSpec, kernel: KernelSpec
-) -> list[tuple[Expo, ...]] | None:
-    if kernel.mpi_op is None:
-        return None
-    m = spec.space.m
-    ranks_axis = spec.space.names.index(spec.ranks_param)
-    terms = []
-    if has_factor(kernel.mpi_op, LOG_P):
-        log_exps: list[Expo] = [(Fraction(0), 0)] * m
-        log_exps[ranks_axis] = (Fraction(0), 1)
-        terms.append(tuple(log_exps))
-    if kernel.message_elems_term is not None:
-        terms.append(kernel.message_elems_term.exponents)
-    return terms
-
-
-def ground_truth(
-    spec: BenchmarkSpec,
-) -> dict[str, dict[str, dict[str, Expo] | None]]:
-    """Per-kernel leading exponents implied by the spec itself."""
-    out = {}
-    names = spec.space.names
-    for kernel in spec.kernels:
-        comp = leading_from_terms(
-            [t.exponents for t, _ in kernel.computation_terms], spec.space.m
-        )
-        comm_terms = _comm_truth_terms(spec, kernel)
-        comm = (
-            None
-            if comm_terms is None
-            else dict(zip(names, leading_from_terms(comm_terms, spec.space.m)))
-        )
-        out[kernel.name] = {
-            "computation": dict(zip(names, comp)),
-            "communication": comm,
-        }
+) -> list[tuple[CallPath, list[tuple[Expo, ...]]]]:
+    """Each call path the kernel produces, in simulation order, with the
+    exponents of its ground-truth terms: the loop terms of the computation,
+    and the log2(p) latency and payload terms of the MPI operation."""
+    comp = [t.exponents for t, _ in kernel.computation_terms]
+    out = [(CallPath(f"{kernel.name}/compute", KIND_COMPUTATION), comp)]
+    op = kernel.mpi_op
+    if op is not None:
+        comm = []
+        if has_factor(op, LOG_P):
+            log_exps: list[Expo] = [(Fraction(0), 0)] * spec.space.m
+            log_exps[spec.space.names.index(spec.ranks_param)] = (Fraction(0), 1)
+            comm.append(tuple(log_exps))
+        if kernel.message_elems_term is not None:
+            comm.append(kernel.message_elems_term.exponents)
+        cp = CallPath(f"{kernel.name}/{op.value}", KIND_COMMUNICATION, op)
+        out.append((cp, comm))
     return out
-
-
-def compute_callpath(kernel: KernelSpec) -> str:
-    return f"{kernel.name}/compute"
-
-
-def comm_callpath(kernel: KernelSpec) -> str:
-    return f"{kernel.name}/{kernel.mpi_op.value}"
 
 
 def truth_by_callpath(spec: BenchmarkSpec) -> dict[str, dict[str, Expo]]:
     """Ground-truth leading exponents keyed by simulated call-path name."""
-    truth = ground_truth(spec)
-    out = {}
-    for kernel in spec.kernels:
-        entry = truth[kernel.name]
-        out[compute_callpath(kernel)] = entry["computation"]
-        if kernel.mpi_op is not None:
-            out[comm_callpath(kernel)] = entry["communication"]
-    return out
-
-
-# --- analytic simulation ----------------------------------------------------
+    return {
+        cp.name: dict(zip(spec.space.names, leading_from_terms(terms, spec.space.m)))
+        for kernel in spec.kernels
+        for cp, terms in _callpaths(spec, kernel)
+    }
 
 
 def _kernel_signals(
     spec: BenchmarkSpec, kernel: KernelSpec, coords: np.ndarray
-) -> dict[str, np.ndarray | None]:
-    """Exact per-coordinate metrics of one kernel (no repetition noise)."""
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Exact per-coordinate (runtime, effort) of each of the kernel's call
+    paths, in `_callpaths` order (no repetition noise)."""
     logs = np.log2(coords)
     bb = np.zeros(coords.shape[0])
     time_comp = np.zeros(coords.shape[0])
@@ -369,12 +337,10 @@ def _kernel_signals(
         values = monomial_values(term.exponents, coords, logs)
         bb += np.rint(values) * kernel.bb_per_iteration
         time_comp += coeff * values
-    payload = None
-    time_comm = None
-    if kernel.mpi_op is not None:
-        op = kernel.mpi_op
-        ranks_axis = spec.space.names.index(spec.ranks_param)
-        p = coords[:, ranks_axis]
+    out = [(time_comp, bb)]
+    op = kernel.mpi_op
+    if op is not None:
+        p = coords[:, spec.space.names.index(spec.ranks_param)]
         if kernel.message_elems_term is None:
             payload = np.zeros(coords.shape[0])
         else:
@@ -392,16 +358,8 @@ def _kernel_signals(
                 time_comm = time_comm + c * payload
             else:
                 time_comm = time_comm + c * payload * (p - 1.0) / p
-    return {"bb": bb, "time_comp": time_comp, "bytes": payload, "time_comm": time_comm}
-
-
-def _check_simulatable(spec: BenchmarkSpec) -> None:
-    if any(k.mpi_op is not None for k in spec.kernels):
-        ranks_axis = spec.space.names.index(spec.ranks_param)
-        if min(spec.space.values[ranks_axis]) < 2:
-            raise ValidationError(
-                "communication kernels need rank counts >= 2 everywhere"
-            )
+        out.append((time_comm, payload))
+    return out
 
 
 def simulate_measurements(
@@ -419,61 +377,36 @@ def simulate_measurements(
         raise ValidationError("baseline_noise must be >= 0")
     if seed < 0:
         raise ValidationError("seed must be non-negative")
-    _check_simulatable(spec)
+    ranks = spec.space.values[spec.space.names.index(spec.ranks_param)]
+    if any(k.mpi_op is not None for k in spec.kernels) and min(ranks) < 2:
+        raise ValidationError("communication kernels need rank counts >= 2 everywhere")
     grid = spec.space.grid()
     coords = np.array(grid)
     callpaths = []
-    cp_index = 0
-
-    def time_series(values: np.ndarray) -> MetricSeries:
-        nonlocal cp_index
-        data = {}
-        for ci, coord in enumerate(grid):
-            base = float(values[ci])
-            if baseline_noise > 0:
-                reps_list = []
-                for r in range(reps):
-                    rng = np.random.default_rng([seed, cp_index, ci, r])
-                    reps_list.append(base * (1.0 + baseline_noise * rng.random()))
-                data[coord] = tuple(reps_list)
-            else:
-                data[coord] = (base,) * reps
-        return MetricSeries(METRIC_TIME, data)
-
-    def flat_series(metric: str, values: np.ndarray) -> MetricSeries:
-        return MetricSeries(
-            metric, {c: (float(v),) * reps for c, v in zip(grid, values)}
-        )
-
     for kernel in spec.kernels:
         signals = _kernel_signals(spec, kernel, coords)
-        cp = CallPath(compute_callpath(kernel), KIND_COMPUTATION)
-        callpaths.append(
-            (
-                cp,
-                {
-                    METRIC_TIME: time_series(signals["time_comp"]),
-                    METRIC_BASIC_BLOCKS: flat_series(
-                        METRIC_BASIC_BLOCKS, signals["bb"]
-                    ),
-                },
-            )
-        )
-        cp_index += 1
-        if kernel.mpi_op is not None:
-            cp = CallPath(
-                comm_callpath(kernel), KIND_COMMUNICATION, kernel.mpi_op
-            )
-            callpaths.append(
-                (
-                    cp,
-                    {
-                        METRIC_TIME: time_series(signals["time_comm"]),
-                        METRIC_BYTES: flat_series(METRIC_BYTES, signals["bytes"]),
-                    },
-                )
-            )
-            cp_index += 1
+        for (cp, _), (runtime, effort) in zip(_callpaths(spec, kernel), signals):
+            cp_index = len(callpaths)
+            times = {}
+            for ci, coord in enumerate(grid):
+                base = float(runtime[ci])
+                if baseline_noise > 0:
+                    rngs = (
+                        np.random.default_rng([seed, cp_index, ci, r])
+                        for r in range(reps)
+                    )
+                    times[coord] = tuple(
+                        base * (1.0 + baseline_noise * rng.random()) for rng in rngs
+                    )
+                else:
+                    times[coord] = (base,) * reps
+            metric = EFFORT_METRIC[cp.kind]
+            counts = {c: (float(v),) * reps for c, v in zip(grid, effort)}
+            series = {
+                METRIC_TIME: MetricSeries(METRIC_TIME, times),
+                metric: MetricSeries(metric, counts),
+            }
+            callpaths.append((cp, series))
     return ExperimentSet(spec.space, tuple(callpaths))
 
 
@@ -482,28 +415,10 @@ def true_time(spec: BenchmarkSpec, callpath: str, coordinate: Coordinate) -> flo
     coords = np.array([coordinate], dtype=float)
     for kernel in spec.kernels:
         signals = _kernel_signals(spec, kernel, coords)
-        if callpath == compute_callpath(kernel):
-            return float(signals["time_comp"][0])
-        if kernel.mpi_op is not None and callpath == comm_callpath(kernel):
-            return float(signals["time_comm"][0])
+        for (cp, _), (runtime, _) in zip(_callpaths(spec, kernel), signals):
+            if cp.name == callpath:
+                return float(runtime[0])
     raise KeyError(f"no call path named {callpath!r} in spec")
-
-
-def root_bytes(spec: BenchmarkSpec, kernel: KernelSpec, coordinate: Coordinate) -> int:
-    """Root-side byte accounting of the kernel's operation at a coordinate."""
-    if kernel.mpi_op is None:
-        raise ValidationError(f"kernel {kernel.name!r} has no MPI operation")
-    if kernel.message_elems_term is None:
-        elems = 0
-    else:
-        coords = np.array([coordinate], dtype=float)
-        value = monomial_values(
-            kernel.message_elems_term.exponents, coords, np.log2(coords)
-        )[0]
-        elems = int(np.rint(kernel.message_elems_base * value))
-    ranks_axis = spec.space.names.index(spec.ranks_param)
-    p = int(coordinate[ranks_axis])
-    return account_bytes(kernel.mpi_op, elems, kernel.elem_size, p)[0]
 
 
 # --- spec files ---------------------------------------------------------------

@@ -186,41 +186,36 @@ def cmd_cost(args) -> int:
     return EXIT_OK
 
 
-def _int_arg(name: str, lo: int, hi: int | None = None, message: str = ""):
-    """argparse type for integers in [lo, hi], unbounded above if hi is None.
-    argparse reports a value that is no integer as an invalid `name` value."""
-    if not message:
-        message = f"must be >= {lo}" if hi is None else f"must be in [{lo}, {hi}]"
+def _checked_arg(kind, ok, message: str):
+    """argparse type for `kind` values that satisfy `ok`. argparse reports
+    a value that `kind` cannot parse as an invalid `kind` value."""
 
-    def parse(value: str) -> int:
-        n = int(value)
-        if n < lo or (hi is not None and n > hi):
+    def parse(value: str):
+        v = kind(value)
+        if not ok(v):
             raise argparse.ArgumentTypeError(message)
-        return n
+        return v
 
-    parse.__name__ = name
+    parse.__name__ = kind.__name__
     return parse
 
 
-_seed_arg = _int_arg("_seed_arg", 0)
-_positive_int = _int_arg("_positive_int", 1)
-_subset_reps_arg = _int_arg("_subset_reps_arg", 2)
-_params_arg = _int_arg("_params_arg", 1, 3, "out of supported range: m <= 3")
-_budget_arg = _int_arg("_budget_arg", 1, MAX_BUDGET_ARG)
+def _int_arg(lo: int, hi: int | None = None, message: str = ""):
+    """argparse type for integers in [lo, hi], unbounded above if hi is None."""
+    if not message:
+        message = f"must be >= {lo}" if hi is None else f"must be in [{lo}, {hi}]"
+    return _checked_arg(int, lambda n: lo <= n and (hi is None or n <= hi), message)
 
 
-def _fraction_arg(value: str) -> float:
-    f = float(value)
-    if not (math.isfinite(f) and f >= 0):
-        raise argparse.ArgumentTypeError("must be finite and >= 0")
-    return f
-
-
-def _selection_arg(value: str) -> float:
-    f = float(value)
-    if not 0 < f <= 1:
-        raise argparse.ArgumentTypeError("must be in (0, 1]")
-    return f
+_seed_arg = _int_arg(0)
+_positive_int = _int_arg(1)
+_subset_reps_arg = _int_arg(2)
+_params_arg = _int_arg(1, 3, "out of supported range: m <= 3")
+_budget_arg = _int_arg(1, MAX_BUDGET_ARG)
+_fraction_arg = _checked_arg(
+    float, lambda f: math.isfinite(f) and f >= 0, "must be finite and >= 0"
+)
+_selection_arg = _checked_arg(float, lambda f: 0 < f <= 1, "must be in (0, 1]")
 
 
 def _nonempty_list(value: str) -> list[str]:

@@ -36,6 +36,11 @@ _METRICS = (METRIC_TIME, METRIC_BASIC_BLOCKS, METRIC_BYTES)
 
 KIND_COMPUTATION = "computation"
 KIND_COMMUNICATION = "communication"
+# the noise-free effort metric each kind of call path is modeled from
+EFFORT_METRIC = {
+    KIND_COMPUTATION: METRIC_BASIC_BLOCKS,
+    KIND_COMMUNICATION: METRIC_BYTES,
+}
 
 
 class MpiOp(str, Enum):

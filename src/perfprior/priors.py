@@ -22,12 +22,10 @@ payload is absorbed by the skeleton's constant and latency bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .dataset import (
-    METRIC_BASIC_BLOCKS,
-    METRIC_BYTES,
+    EFFORT_METRIC,
     METRIC_TIME,
     KIND_COMPUTATION,
     CallPath,
@@ -74,14 +72,6 @@ def has_factor(op: MpiOp, *factors: str) -> bool:
     return any(factor in factors for factor, _ in COST_FORMS[op])
 
 
-@dataclass(frozen=True)
-class CommPrior:
-    """Labeled skeleton for one communication operation."""
-
-    op: MpiOp
-    skeleton: Skeleton
-
-
 def derive_computation_prior(bb_model: PmnfModel) -> Skeleton:
     """Constant basis plus one basis per basic-block-model term."""
     return skeleton_from_model(bb_model)
@@ -89,7 +79,7 @@ def derive_computation_prior(bb_model: PmnfModel) -> Skeleton:
 
 def derive_communication_prior(
     op: MpiOp | str, bytes_model: PmnfModel, ranks_param: str
-) -> CommPrior:
+) -> Skeleton:
     """Embed the bytes model's structural terms into the op's cost form."""
     op = MpiOp(op)
     names = bytes_model.space_names
@@ -118,7 +108,7 @@ def derive_communication_prior(
                 seen.add(basis.signature())
                 bases.append(basis)
                 labels.append(label)
-    return CommPrior(op, Skeleton(names, tuple(bases), tuple(labels)))
+    return Skeleton(names, tuple(bases), tuple(labels))
 
 
 def account_bytes(
@@ -151,7 +141,7 @@ def model_effort(
     exp: ExperimentSet, callpath: CallPath | str, metric: str
 ) -> PmnfModel:
     """Model how an effort metric scales, from median-aggregated data."""
-    if metric not in (METRIC_BASIC_BLOCKS, METRIC_BYTES):
+    if metric not in EFFORT_METRIC.values():
         raise ValidationError(f"{metric!r} is not an effort metric")
     cp, metrics = _resolve(exp, callpath)
     if metric not in metrics:
@@ -172,15 +162,11 @@ def build_swc_model(
     cp, metrics = _resolve(exp, callpath)
     if ranks_param is None:
         ranks_param = exp.space.names[0]
+    effort_model = model_effort(exp, cp, EFFORT_METRIC[cp.kind])
     if cp.kind == KIND_COMPUTATION:
-        skeleton = derive_computation_prior(
-            model_effort(exp, cp, METRIC_BASIC_BLOCKS)
-        )
+        skeleton = derive_computation_prior(effort_model)
     else:
-        bytes_model = model_effort(exp, cp, METRIC_BYTES)
-        skeleton = derive_communication_prior(
-            cp.mpi_op, bytes_model, ranks_param
-        ).skeleton
+        skeleton = derive_communication_prior(cp.mpi_op, effort_model, ranks_param)
     if METRIC_TIME not in metrics:
         raise ModelingError(f"call path {cp.name!r} lacks metric {METRIC_TIME!r}")
     time_data = aggregate(metrics[METRIC_TIME])

@@ -289,7 +289,7 @@ def test_criterion_5_cost_form_conformance():
     }
     for op, bases in expected.items():
         prior = derive_communication_prior(op, bytes_model, "p")
-        assert prior.skeleton.bases == bases, op
+        assert prior.bases == bases, op
 
     assert account_bytes("broadcast", 10, 4, 4) == (160, 40)
     for p in (2, 4, 8):

@@ -9,10 +9,11 @@ import pytest
 from conftest import fig2_spec
 from perfprior.benchgen import (
     MIN_TERM_VALUE,
-    ground_truth,
+    BenchmarkSpec,
+    ComplexityTerm,
+    KernelSpec,
     load_spec,
     random_spec,
-    root_bytes,
     save_spec,
     simulate_measurements,
     spec_from_dict,
@@ -20,10 +21,38 @@ from perfprior.benchgen import (
     true_time,
     truth_by_callpath,
 )
-from perfprior.dataset import MpiOp
+from perfprior.dataset import EFFORT_METRIC, MpiOp
 from perfprior.errors import ParseError, ValidationError
+from perfprior.pmnf import monomial_values
+from perfprior.priors import account_bytes
 
 F = Fraction
+
+
+def root_bytes(spec, kernel, coordinate):
+    """Root-side byte accounting of the kernel's operation at a coordinate."""
+    if kernel.message_elems_term is None:
+        elems = 0
+    else:
+        coords = np.array([coordinate], dtype=float)
+        value = monomial_values(
+            kernel.message_elems_term.exponents, coords, np.log2(coords)
+        )[0]
+        elems = int(np.rint(kernel.message_elems_base * value))
+    p = int(coordinate[spec.space.names.index(spec.ranks_param)])
+    return account_bytes(kernel.mpi_op, elems, kernel.elem_size, p)[0]
+
+
+def n_kernel(name, op, n_exp=1, message=None):
+    """A kernel on fig2_spec's (p, n) space whose computation scales as
+    n^n_exp, with an optional operation and message-size term."""
+    return KernelSpec(
+        name=name,
+        computation_terms=((ComplexityTerm(((F(0), 0), (F(n_exp), 0))), 1e-7),),
+        loop_arrangement="sequential",
+        mpi_op=op,
+        message_elems_term=message,
+    )
 
 
 class TestRandomSpec:
@@ -47,8 +76,6 @@ class TestRandomSpec:
                     assert kernel.message_elems_term is not None
 
     def test_term_floor_respected(self):
-        from perfprior.pmnf import monomial_values
-
         for seed in range(1, 31):
             spec = random_spec(seed, 2, 1)
             grid = np.array(spec.space.grid())
@@ -74,60 +101,51 @@ class TestRandomSpec:
 
 class TestGroundTruth:
     def test_worked_example(self):
-        truth = ground_truth(fig2_spec())["k00"]
-        assert truth["computation"] == {"p": (F(1), 0), "n": (F(1), 0)}
-        assert truth["communication"] == {"p": (F(1), 0), "n": (F(1), 0)}
+        truth = truth_by_callpath(fig2_spec())
+        assert truth["k00/compute"] == {"p": (F(1), 0), "n": (F(1), 0)}
+        assert truth["k00/broadcast"] == {"p": (F(1), 0), "n": (F(1), 0)}
 
     def test_barrier_only_kernel(self):
-        from perfprior.benchgen import BenchmarkSpec, ComplexityTerm, KernelSpec
-
-        spec = fig2_spec()
-        kernel = KernelSpec(
-            name="b00",
-            computation_terms=((ComplexityTerm(((F(0), 0), (F(1), 0))), 1e-7),),
-            loop_arrangement="sequential",
-            mpi_op=MpiOp.BARRIER,
-            message_elems_term=None,
+        spec = BenchmarkSpec(
+            0, fig2_spec().space, (n_kernel("b00", MpiOp.BARRIER),), "p"
         )
-        barrier_spec = BenchmarkSpec(0, spec.space, (kernel,), "p")
-        truth = ground_truth(barrier_spec)["b00"]
-        assert truth["communication"] == {"p": (F(0), 1), "n": (F(0), 0)}
+        truth = truth_by_callpath(spec)
+        assert truth["b00/barrier"] == {"p": (F(0), 1), "n": (F(0), 0)}
 
     def test_quadratic_computation(self):
-        from perfprior.benchgen import BenchmarkSpec, ComplexityTerm, KernelSpec
-
-        spec = fig2_spec()
-        kernel = KernelSpec(
-            name="q00",
-            computation_terms=((ComplexityTerm(((F(0), 0), (F(2), 0))), 1e-7),),
-            loop_arrangement="sequential",
-            mpi_op=None,
-            message_elems_term=None,
-        )
-        qspec = BenchmarkSpec(0, spec.space, (kernel,), "p")
-        truth = ground_truth(qspec)["q00"]
-        assert truth["computation"]["n"] == (F(2), 0)
-        assert truth["communication"] is None
+        qspec = BenchmarkSpec(0, fig2_spec().space, (n_kernel("q00", None, 2),), "p")
+        truth = truth_by_callpath(qspec)
+        assert truth["q00/compute"]["n"] == (F(2), 0)
+        assert list(truth) == ["q00/compute"]
 
     def test_invariant_under_coefficient_scaling(self):
         spec = fig2_spec()
         scaled = spec_from_dict(spec_to_dict(spec))
-        assert ground_truth(spec) == ground_truth(scaled)
+        assert truth_by_callpath(spec) == truth_by_callpath(scaled)
 
     def test_send_has_no_log_term(self):
-        from perfprior.benchgen import BenchmarkSpec, ComplexityTerm, KernelSpec
+        message = ComplexityTerm(((F(0), 0), (F(1), 0)))
+        kernel = n_kernel("s00", MpiOp.SEND, message=message)
+        sspec = BenchmarkSpec(0, fig2_spec().space, (kernel,), "p")
+        truth = truth_by_callpath(sspec)
+        assert truth["s00/send"] == {"p": (F(0), 0), "n": (F(1), 0)}
 
-        spec = fig2_spec()
-        kernel = KernelSpec(
-            name="s00",
-            computation_terms=((ComplexityTerm(((F(0), 0), (F(1), 0))), 1e-7),),
-            loop_arrangement="sequential",
-            mpi_op=MpiOp.SEND,
-            message_elems_term=ComplexityTerm(((F(0), 0), (F(1), 0))),
+    def test_simulated_callpaths_are_the_truth_keys_in_order(self):
+        """Simulation and ground truth list the same call paths in the same
+        order, each with its time and the effort metric of its kind."""
+        handmade = BenchmarkSpec(
+            0,
+            fig2_spec().space,
+            (n_kernel("b00", MpiOp.BARRIER), n_kernel("q00", None)),
+            "p",
         )
-        sspec = BenchmarkSpec(0, spec.space, (kernel,), "p")
-        truth = ground_truth(sspec)["s00"]
-        assert truth["communication"] == {"p": (F(0), 0), "n": (F(1), 0)}
+        specs = [random_spec(seed, m, 3) for m in (1, 2, 3) for seed in range(10)]
+        for spec in specs + [handmade]:
+            exp = simulate_measurements(spec, reps=1)
+            names = [cp.name for cp, _ in exp.callpaths]
+            assert names == list(truth_by_callpath(spec))
+            for cp, metrics in exp.callpaths:
+                assert set(metrics) == {"time_s", EFFORT_METRIC[cp.kind]}
 
 
 class TestSimulate:
@@ -195,8 +213,6 @@ class TestSimulate:
     def test_comm_time_and_log_term_follow_the_cost_forms(self, op):
         """Simulated communication time and the ground-truth log2(p) term
         against the cost forms written out by hand, per operation."""
-        from perfprior.benchgen import BenchmarkSpec, ComplexityTerm, KernelSpec
-
         a, b, g = 3e-5, 2e-9, 4e-10
         forms = {
             "send": lambda p, B: a + b * B,
@@ -234,7 +250,7 @@ class TestSimulate:
             assert true_time(spec, f"c00/{op.value}", (p, n)) == pytest.approx(
                 forms[op.value](p, B), rel=1e-12
             )
-        comm = ground_truth(spec)["c00"]["communication"]
+        comm = truth_by_callpath(spec)[f"c00/{op.value}"]
         assert comm["p"] == ((F(0), 1) if has_log else (F(0), 0))
         assert comm["n"] == ((F(1), 0) if payload else (F(0), 0))
 
@@ -273,8 +289,6 @@ class TestSpecFiles:
 
 class TestKernelSpecInvariants:
     def test_mpi_op_requires_message(self):
-        from perfprior.benchgen import ComplexityTerm, KernelSpec
-
         with pytest.raises(ValidationError):
             KernelSpec(
                 name="x",
@@ -285,8 +299,6 @@ class TestKernelSpecInvariants:
             )
 
     def test_name_must_be_a_string(self):
-        from perfprior.benchgen import ComplexityTerm, KernelSpec
-
         with pytest.raises(ValidationError, match="string"):
             KernelSpec(
                 name=7,
@@ -297,8 +309,6 @@ class TestKernelSpecInvariants:
             )
 
     def test_positive_coefficients_required(self):
-        from perfprior.benchgen import ComplexityTerm, KernelSpec
-
         with pytest.raises(ValidationError):
             KernelSpec(
                 name="x",

@@ -291,6 +291,33 @@ def test_non_finite_or_negative_float_flag_exits_2(
     assert not (tmp_path / "n.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (("generate", "--seed", "abc", "--params", "2", "--count", "1",
+          "--out", "o"), "int"),
+        (("generate", "--seed", "0", "--params", "2", "--count", "abc",
+          "--out", "o"), "int"),
+        (("cost", "--params", "abc"), "int"),
+        (("cost", "--params", "2", "--reps", "abc"), "int"),
+        (("study-reps", "--spec", "s.json", "--reps", "abc"), "int"),
+        (("simulate", "--spec", "s.json", "--out", "e.json",
+          "--baseline-noise", "abc"), "float"),
+        (("inject", "--experiment", "e.json", "--out", "n.json",
+          "--intensity", "5", "--selection", "abc"), "float"),
+    ],
+    ids=["seed", "positive", "params", "budget", "subset-reps", "fraction",
+         "selection"],
+)
+def test_unparsable_flag_names_the_builtin_kind(capsys, argv, kind):
+    """A flag value of the wrong type is reported as an invalid int or
+    float value, not under the name of the parser's helper."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert f"invalid {kind} value: 'abc'" in capsys.readouterr().err
+
+
 class TestCost:
     def test_two_params(self, capsys):
         code, stdout, _ = run(capsys, "cost", "--params", "2")

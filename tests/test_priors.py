@@ -89,31 +89,31 @@ class TestCommunicationPrior:
         prior = derive_communication_prior(
             "broadcast", bytes_model(((F(1), 0), (F(1), 0))), "p"
         )
-        assert prior.skeleton.bases == (
+        assert prior.bases == (
             constant_basis(2),
             log_p(),
             BasisFunction(((F(1), 0), (F(1), 0))),
         )
-        assert prior.skeleton.labels == (GENERIC, ALPHA, BETA)
+        assert prior.labels == (GENERIC, ALPHA, BETA)
 
     def test_reduce_keeps_beta_and_gamma(self):
         prior = derive_communication_prior(
             MpiOp.REDUCE, bytes_model(((F(0), 0), (F(1), 0))), "p"
         )
         n_term = ((F(0), 0), (F(1), 0))
-        assert prior.skeleton.bases == (
+        assert prior.bases == (
             constant_basis(2),
             log_p(),
             BasisFunction(n_term),
             BasisFunction(n_term, ranks_fraction="p"),
         )
-        assert prior.skeleton.labels == (GENERIC, ALPHA, BETA, GAMMA)
+        assert prior.labels == (GENERIC, ALPHA, BETA, GAMMA)
 
     def test_scatter_applies_ranks_fraction(self):
         prior = derive_communication_prior(
             "scatter", bytes_model(((F(0), 0), (F(1), 0))), "p"
         )
-        assert prior.skeleton.bases == (
+        assert prior.bases == (
             constant_basis(2),
             log_p(),
             BasisFunction(((F(0), 0), (F(1), 0)), ranks_fraction="p"),
@@ -121,26 +121,26 @@ class TestCommunicationPrior:
 
     def test_barrier_is_latency_only(self):
         prior = derive_communication_prior("barrier", PmnfModel(0.0, (), PN), "p")
-        assert prior.skeleton.bases == (constant_basis(2), log_p())
-        assert prior.skeleton.labels == (GENERIC, ALPHA)
+        assert prior.bases == (constant_basis(2), log_p())
+        assert prior.labels == (GENERIC, ALPHA)
 
     def test_send_merges_alpha_into_constant(self):
         prior = derive_communication_prior(
             "send", bytes_model(((F(0), 0), (F(1), 0))), "p"
         )
-        assert prior.skeleton.bases == (
+        assert prior.bases == (
             constant_basis(2),
             BasisFunction(((F(0), 0), (F(1), 0))),
         )
-        assert prior.skeleton.labels == (GENERIC, BETA)
+        assert prior.labels == (GENERIC, BETA)
 
     def test_duplicate_log_term_collapses(self):
         # bytes that scale as log2(p) themselves
         prior = derive_communication_prior(
             "broadcast", bytes_model(((F(0), 1), (F(0), 0))), "p"
         )
-        assert prior.skeleton.bases == (constant_basis(2), log_p())
-        assert prior.skeleton.labels == (GENERIC, ALPHA)
+        assert prior.bases == (constant_basis(2), log_p())
+        assert prior.labels == (GENERIC, ALPHA)
 
     def test_unknown_ranks_param_rejected(self):
         with pytest.raises(ValidationError):
