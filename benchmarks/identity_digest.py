@@ -22,7 +22,12 @@ Classes, each hashed over its documents in a fixed order:
 - `truth`: every call path's ground-truth leading exponents
   (`truth_by_callpath`) and its noise-free runtime (`true_time`) at
   `next_test_point`, for `random_spec` seeds 0-119 at m = 1, 2, 3 with
-  3 kernels.
+  3 kernels;
+- `search`: `render(model)` and the coefficients of `modeler.search` on
+  3,000 seeded one-parameter datasets: 3-, 5- and 7-point grids, each
+  arithmetic or geometric, with exact, noisy (up to +30 %) or constant
+  targets; the exact and noisy ones come from a random member of the
+  single-parameter hypothesis family.
 
 It takes about half a minute on a 2-core machine.
 """
@@ -34,12 +39,16 @@ import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
-from perfprior import benchgen, cli, evaluation
+import numpy as np
+
+from perfprior import benchgen, cli, evaluation, modeler, pmnf
+from perfprior.dataset import ParameterSpace
 
 PIPELINES = ("classic", "swc")
 PATTERNS = ("uniform", "truncated_normal", "scaled_poisson", "scaled_exponential")
 MODEL_SEEDS = {1: range(120), 2: range(120), 3: range(40)}
 TRUTH_SEEDS = range(120)
+SEARCH_DATASETS = 3000
 
 
 def run(*argv) -> str:
@@ -116,6 +125,39 @@ def truth_digest() -> str:
     return digest.hexdigest()
 
 
+def search_dataset(seed: int):
+    """One seeded m=1 search input: (data, space)."""
+    rng = np.random.default_rng(seed)
+    points = (3, 5, 7)[seed % 3]
+    if seed // 3 % 2:
+        ratio = float(rng.integers(2, 4))
+        values = float(rng.integers(1, 9)) * ratio ** np.arange(points)
+    else:
+        values = float(rng.integers(1, 65)) + rng.integers(1, 33) * np.arange(points)
+    space = ParameterSpace(("x",), (tuple(values),))
+    kind = seed // 6 % 3
+    if kind == 2:
+        y = np.full(points, rng.uniform(1, 50))
+    else:
+        family = modeler.single_param_hypotheses("x")
+        skel = family[rng.integers(len(family))]
+        a = pmnf.design_matrix(skel, values[:, None])
+        y = a @ (10.0 ** rng.uniform(-2, 2, size=skel.size) / np.abs(a).max(axis=0))
+        if kind == 1:
+            y = y * (1.0 + 0.3 * rng.uniform(0, 1, size=points))
+    return {(v,): float(t) for v, t in zip(space.values[0], y)}, space
+
+
+def search_digest() -> str:
+    digest = hashlib.sha256()
+    for seed in range(SEARCH_DATASETS):
+        model = modeler.search(*search_dataset(seed))
+        coefs = [model.constant] + [t.coefficient for t in model.terms]
+        line = " ".join([pmnf.render(model)] + [float(c).hex() for c in coefs])
+        digest.update(f"{line}\n".encode())
+    return digest.hexdigest()
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -123,6 +165,7 @@ def main() -> None:
         digests.update(model_digests(work))
         digests.update(study_digests(work))
     digests["truth"] = truth_digest()
+    digests["search"] = search_digest()
     for name, value in digests.items():
         print(f"{value}  {name}")
 

@@ -33,8 +33,7 @@ from .modeler import (
     cv_score,
     fit_coefficients,
     fit_skeleton_to_time,
-    search_multi,
-    search_single,
+    search,
     single_param_hypotheses,
 )
 from .priors import (
@@ -54,9 +53,9 @@ from .benchgen import (
     truth_by_callpath,
 )
 from .evaluation import (
-    EdReport,
     StudyTable,
     cost_report,
+    deviation_from_truth,
     exponent_deviation,
     next_test_point,
     noise_robustness_study,

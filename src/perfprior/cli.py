@@ -37,6 +37,9 @@ EXIT_MODELING = 4
 
 # largest --reps and --values of `cost`: its counts stay printable
 MAX_BUDGET_ARG = 10**6
+# largest --reps of `simulate` and the studies: each coordinate of each
+# call path holds that many measurements in memory
+MAX_REPS = 10**4
 
 
 def _model_report(models, exp) -> dict:
@@ -203,13 +206,14 @@ def _checked_arg(kind, ok, message: str):
 def _int_arg(lo: int, hi: int | None = None, message: str = ""):
     """argparse type for integers in [lo, hi], unbounded above if hi is None."""
     if not message:
-        message = f"must be >= {lo}" if hi is None else f"must be in [{lo}, {hi}]"
+        message = f"must be >= {lo}" + ("" if hi is None else f" and <= {hi}")
     return _checked_arg(int, lambda n: lo <= n and (hi is None or n <= hi), message)
 
 
 _seed_arg = _int_arg(0)
 _positive_int = _int_arg(1)
-_subset_reps_arg = _int_arg(2)
+_reps_arg = _int_arg(1, MAX_REPS)
+_subset_reps_arg = _int_arg(2, MAX_REPS)
 _params_arg = _int_arg(1, 3, "out of supported range: m <= 3")
 _budget_arg = _int_arg(1, MAX_BUDGET_ARG)
 _fraction_arg = _checked_arg(
@@ -262,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="simulate measurements for a spec")
     p.add_argument("--spec", required=True)
-    p.add_argument("--reps", type=_positive_int, default=5)
+    p.add_argument("--reps", type=_reps_arg, default=5)
     p.add_argument("--baseline-noise", type=_fraction_arg, default=0.0,
                    help="multiplicative run-to-run noise fraction")
     p.add_argument("--seed", type=_seed_arg, default=0)
@@ -292,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("study-noise", help="noise robustness study on a spec")
     p.add_argument("--spec", required=True)
     p.add_argument("--pipeline", choices=PIPELINES, default="swc")
-    p.add_argument("--reps", type=_positive_int, default=5)
+    p.add_argument("--reps", type=_reps_arg, default=5)
     p.add_argument("--baseline-noise", type=_fraction_arg, default=0.0)
     p.add_argument("--intensities", type=_intensity_list,
                    default=[2.0, 5.0, 10.0, 50.0, 75.0],

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -43,46 +42,26 @@ MAX_SUBSETS = 64
 TruthExponents = Mapping[str, Mapping[str, Expo]]
 
 
-@dataclass(frozen=True)
-class EdReport:
-    """Per-parameter absolute deviation of leading monomial exponents."""
-
-    deviations: Mapping[str, Fraction]
-
-    def __post_init__(self):
-        object.__setattr__(self, "deviations", dict(self.deviations))
-        for name, d in self.deviations.items():
-            if d < 0:
-                raise ValidationError(f"negative deviation for {name!r}")
-
-    def total(self) -> Fraction:
-        return sum(self.deviations.values(), Fraction(0))
-
-    def mean(self) -> float:
-        return float(self.total() / len(self.deviations))
-
-
-def exponent_deviation(m1: PmnfModel, m2: PmnfModel) -> EdReport:
-    """Per-parameter |i1* - i2*| of the leading exponents (logs count 0)."""
-    if m1.space_names != m2.space_names:
-        raise ValidationError("models live in different parameter spaces")
-    lead1 = leading_exponents(m1)
-    lead2 = leading_exponents(m2)
-    return EdReport(
-        {n: abs(lead1[n][0] - lead2[n][0]) for n in m1.space_names}
-    )
-
-
 def deviation_from_truth(
     model: PmnfModel, truth: Mapping[str, Expo]
-) -> EdReport:
-    """ED of a model against ground-truth leading exponents."""
+) -> dict[str, Fraction]:
+    """Per-parameter |i* - i_true| of the leading exponents (logs count 0).
+
+    A parameter missing from truth has true exponent 0.
+    """
     lead = leading_exponents(model)
     deviations = {}
     for name in model.space_names:
         true_i = Fraction(truth[name][0]) if name in truth else Fraction(0)
         deviations[name] = abs(lead[name][0] - true_i)
-    return EdReport(deviations)
+    return deviations
+
+
+def exponent_deviation(m1: PmnfModel, m2: PmnfModel) -> dict[str, Fraction]:
+    """Per-parameter |i1* - i2*| of the leading exponents (logs count 0)."""
+    if m1.space_names != m2.space_names:
+        raise ValidationError("models live in different parameter spaces")
+    return deviation_from_truth(m1, leading_exponents(m2))
 
 
 def relative_error(model: PmnfModel, test: Coordinate, measured: float) -> float:
@@ -160,9 +139,6 @@ class StudyTable:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=1, sort_keys=True) + "\n"
-
     def render_text(self) -> str:
         level_name = "intensity" if self.study == "noise" else "repetitions"
         header = (
@@ -191,7 +167,8 @@ def _trial_metrics(
     res = []
     for name, model in models.items():
         if name in truth:
-            eds.append(deviation_from_truth(model, truth[name]).mean())
+            deviations = deviation_from_truth(model, truth[name])
+            eds.append(float(sum(deviations.values(), Fraction(0)) / len(deviations)))
         if reference is not None and test_point is not None and name in reference:
             res.append(relative_error(model, test_point, reference[name]))
     ed = float(np.mean(eds)) if eds else 0.0

@@ -10,10 +10,12 @@ lexicographic signature). The same floor and order apply in the tests'
 independent oracle (tests/oracle.py), which makes selection deterministic
 end to end.
 
-Multi-parameter search is hierarchical: a consensus single-parameter term
-per parameter (minimal mean score across grid lines), then an enumeration
-of candidate skeletons whose non-constant bases are products of the best
-terms over non-empty parameter subsets, capped at m + 1 bases.
+The search is hierarchical for every parameter count m = 1, 2, 3: a
+consensus single-parameter term per parameter (minimal mean score across
+the grid lines along its axis), then an enumeration of candidate
+skeletons whose non-constant bases are products of the best terms over
+non-empty parameter subsets, capped at m + 1 bases. At m = 1 the axis has
+one line, the whole data, and the candidates are {1} and {1, best term}.
 """
 
 from __future__ import annotations
@@ -144,21 +146,6 @@ def _select(
     return skels[best], _snap(scores[best])
 
 
-def search_single(data: Mapping[Coordinate, float], param: str) -> PmnfModel:
-    """Best single-parameter hypothesis under cross-validation."""
-    coords, y = _ordered(data)
-    if coords.shape[1] != 1:
-        raise ValidationError("search_single expects one-parameter coordinates")
-    x = coords[:, 0]
-    if len(np.unique(x)) < 3:
-        raise InsufficientDataError("need at least 3 distinct parameter values")
-    hyps = single_param_hypotheses(param)
-    scores = _loo_scores(coords, hyps, [y])[:, 0]
-    winner, _ = _select(hyps, scores, _family_keys(param))
-    coef, _ = fit_coefficients(winner, data)
-    return model_from_skeleton(winner, coef)
-
-
 def _line_views(
     space: ParameterSpace, data: Mapping[Coordinate, float], axis: int
 ) -> list[np.ndarray]:
@@ -186,7 +173,7 @@ def _combine_exponents(
     return tuple(exps)
 
 
-def _multi_candidates(
+def _candidates(
     space: ParameterSpace, best_terms: Mapping[int, tuple[Expo, ...]]
 ) -> list[Skeleton]:
     """All skeletons over products of per-parameter best terms, <= m+1 bases."""
@@ -205,12 +192,14 @@ def _multi_candidates(
     return candidates
 
 
-def search_multi(data: Mapping[Coordinate, float], space: ParameterSpace) -> PmnfModel:
-    """Hierarchical multi-parameter search; see module docstring."""
-    if space.m not in (2, 3):
-        raise ValidationError("multi-parameter search supports m in {2, 3}")
+def search(data: Mapping[Coordinate, float], space: ParameterSpace) -> PmnfModel:
+    """Hierarchical search over the full grid; see module docstring."""
+    if space.m not in (1, 2, 3):
+        raise ValidationError("hypothesis search supports m in {1, 2, 3}")
     if set(data) != set(space.grid()):
-        raise ValidationError("multi-parameter search requires the full grid")
+        raise ValidationError("hypothesis search requires the full grid")
+    if space.m == 1 and len(space.values[0]) < 3:
+        raise InsufficientDataError("need at least 3 distinct parameter values")
 
     best_terms: dict[int, tuple[Expo, ...]] = {}
     for axis in range(space.m):
@@ -228,19 +217,12 @@ def search_multi(data: Mapping[Coordinate, float], space: ParameterSpace) -> Pmn
             exps[axis] = (i, j)
             best_terms[axis] = tuple(exps)
 
-    candidates = _multi_candidates(space, best_terms)
+    candidates = _candidates(space, best_terms)
     coords, y = _ordered(data)
     scores = _loo_scores(coords, candidates, [y])[:, 0]
     winner, _ = _select(candidates, scores, [_skeleton_key(c) for c in candidates])
     coef, _ = fit_coefficients(winner, data)
     return model_from_skeleton(winner, coef)
-
-
-def search(data: Mapping[Coordinate, float], space: ParameterSpace) -> PmnfModel:
-    """Dispatch to the single- or multi-parameter search by dimension."""
-    if space.m == 1:
-        return search_single(data, space.names[0])
-    return search_multi(data, space)
 
 
 def fit_skeleton_to_time(

@@ -28,7 +28,6 @@ from .dataset import (
     EFFORT_METRIC,
     METRIC_TIME,
     KIND_COMPUTATION,
-    CallPath,
     ExperimentSet,
     MpiOp,
     aggregate,
@@ -137,21 +136,19 @@ def account_bytes(
     return int(p) * payload, payload
 
 
-def model_effort(
-    exp: ExperimentSet, callpath: CallPath | str, metric: str
-) -> PmnfModel:
+def model_effort(exp: ExperimentSet, callpath: str, metric: str) -> PmnfModel:
     """Model how an effort metric scales, from median-aggregated data."""
     if metric not in EFFORT_METRIC.values():
         raise ValidationError(f"{metric!r} is not an effort metric")
-    cp, metrics = _resolve(exp, callpath)
+    _, metrics = exp.callpath(callpath)
     if metric not in metrics:
-        raise ModelingError(f"call path {cp.name!r} lacks metric {metric!r}")
+        raise ModelingError(f"call path {callpath!r} lacks metric {metric!r}")
     data = aggregate(metrics[metric])
     return search(data, exp.space)
 
 
 def build_swc_model(
-    exp: ExperimentSet, callpath: CallPath | str, ranks_param: str | None = None
+    exp: ExperimentSet, callpath: str, ranks_param: str | None = None
 ) -> PmnfModel:
     """Software-counter-based model: effort-derived prior fitted to time.
 
@@ -159,20 +156,16 @@ def build_swc_model(
     so the leading exponents are invariant under any change of the time
     metric. ranks_param defaults to the first space parameter.
     """
-    cp, metrics = _resolve(exp, callpath)
+    cp, metrics = exp.callpath(callpath)
     if ranks_param is None:
         ranks_param = exp.space.names[0]
-    effort_model = model_effort(exp, cp, EFFORT_METRIC[cp.kind])
+    effort_model = model_effort(exp, callpath, EFFORT_METRIC[cp.kind])
     if cp.kind == KIND_COMPUTATION:
         skeleton = derive_computation_prior(effort_model)
     else:
         skeleton = derive_communication_prior(cp.mpi_op, effort_model, ranks_param)
     if METRIC_TIME not in metrics:
-        raise ModelingError(f"call path {cp.name!r} lacks metric {METRIC_TIME!r}")
+        raise ModelingError(f"call path {callpath!r} lacks metric {METRIC_TIME!r}")
     time_data = aggregate(metrics[METRIC_TIME])
     return fit_skeleton_to_time(skeleton, time_data)
 
-
-def _resolve(exp: ExperimentSet, callpath: CallPath | str):
-    name = callpath.name if isinstance(callpath, CallPath) else callpath
-    return exp.callpath(name)

@@ -32,11 +32,7 @@ from perfprior.evaluation import (
     noise_robustness_study,
     repetition_study,
 )
-from perfprior.modeler import (
-    cv_score,
-    search_multi,
-    search_single,
-)
+from perfprior.modeler import cv_score, search
 from perfprior.pipelines import run_pipeline
 from perfprior.pmnf import (
     BasisFunction,
@@ -66,11 +62,11 @@ def test_criterion_1_noise_free_structural_recovery():
         truth = truth_by_callpath(spec)
         models = run_pipeline("swc", exp)
         for name, model in models.items():
-            report = deviation_from_truth(model, truth[name])
-            assert all(d == 0 for d in report.deviations.values()), (
+            deviations = deviation_from_truth(model, truth[name])
+            assert all(d == 0 for d in deviations.values()), (
                 seed,
                 name,
-                report.deviations,
+                deviations,
             )
             checked += 1
     elapsed = time.monotonic() - started
@@ -145,7 +141,7 @@ def test_criterion_3_coefficient_recovery():
         a = design_matrix(skel, np.array(x)[:, None])
         true = _contribution_scaled_targets(rng, a)
         data = {(v,): float(t) for v, t in zip(x, a @ true)}
-        model = search_single(data, "x")
+        model = search(data, ParameterSpace(("x",), (x,)))
         assert len(model.terms) == 1
         assert model.terms[0].exponents == (expo,)
         got = np.array([model.constant, model.terms[0].coefficient])
@@ -177,7 +173,7 @@ def test_criterion_3_coefficient_recovery():
         a = design_matrix(skel, coords)
         true = _contribution_scaled_targets(rng, a)
         data = {tuple(c): float(v) for c, v in zip(space.grid(), a @ true)}
-        model = search_multi(data, space)
+        model = search(data, space)
         assert {t.exponents for t in model.terms} == {
             b.exponents for b in bases[1:]
         }, (shape, t_p, t_n)
@@ -220,10 +216,9 @@ def test_criterion_4_oracle_equivalence():
         if rng.random() < 0.5:
             y = y * (1.0 + 0.2 * rng.uniform(0, 1, size=len(y)))
         data = {(v,): float(t) for v, t in zip(x, y)}
-        got = search_single(data, "x")
-        want = exhaustive_oracle(
-            data, "single", ParameterSpace(("x",), (x,))
-        )
+        x_space = ParameterSpace(("x",), (x,))
+        got = search(data, x_space)
+        want = exhaustive_oracle(data, "single", x_space)
         same = (
             leading_exponents(got) == leading_exponents(want)
             and len(got.terms) == len(want.terms)
@@ -252,7 +247,7 @@ def test_criterion_4_oracle_equivalence():
         if rng.random() < 0.5:
             y = y * (1.0 + 0.1 * rng.uniform(0, 1, size=len(y)))
         data = {tuple(c): float(v) for c, v in zip(space.grid(), y)}
-        got = search_multi(data, space)
+        got = search(data, space)
         want = exhaustive_oracle(data, "multi_restricted", space)
         same = (
             leading_exponents(got) == leading_exponents(want)
@@ -344,8 +339,7 @@ def test_criterion_6_metric_fidelity():
     ]
     n_cells = 0
     for theo, model, expected in cells:
-        report = exponent_deviation(theo, model)
-        assert report.deviations == expected
+        assert exponent_deviation(theo, model) == expected
         n_cells += len(expected)
 
     assert next_test_point(

@@ -256,6 +256,10 @@ class TestInject:
         (("study-noise", "--spec", "s.json", "--patterns", ","),
          "at least one value"),
         (("study-reps", "--spec", "s.json", "--reps", "1"), "must be >= 2"),
+        (("simulate", "--spec", "s.json", "--out", "e.json", "--reps", "10001"),
+         "<= 10000"),
+        (("study-noise", "--spec", "s.json", "--reps", "10001"), "<= 10000"),
+        (("study-reps", "--spec", "s.json", "--reps", "10001"), "<= 10000"),
         (("inject", "--experiment", "e.json", "--out", "n.json",
           "--intensity", "1e308"), "intensity 1e+308% overflows"),
         (("study-noise", "--spec", "s.json", "--intensities", "1e308",
@@ -266,6 +270,7 @@ class TestInject:
         "baseline-noise-nan", "baseline-noise-inf", "intensity-nan",
         "intensity-inf", "intensities-negative", "intensities-nan",
         "intensities-empty", "patterns-empty", "study-reps-1",
+        "simulate-reps-10001", "study-noise-reps-10001", "study-reps-10001",
         "intensity-overflows", "intensities-overflow",
     ],
 )
@@ -274,8 +279,8 @@ def test_non_finite_or_negative_float_flag_exits_2(
 ):
     """A bad flag value exits 2 with one error line that names its bound:
     a noise level that is not a finite number >= 0 or that overflows a
-    runtime, an empty list, or a repetition study of fewer than 2
-    repetitions."""
+    runtime, an empty list, a repetition study of fewer than 2
+    repetitions, or more than 10^4 repetitions."""
     # runtimes of 7e3 s and more: a noise of 1e308 % overflows them
     monkeypatch.chdir(tmp_path)
     spec = random_spec(0, 2, 1)

@@ -52,7 +52,7 @@ class TestExponentDeviationTable:
             "swc": {"p": F(0), "G": F(0), "Z": F(1, 4)},
         }
         for name, model in models.items():
-            assert exponent_deviation(theo, model).deviations == expected[name]
+            assert exponent_deviation(theo, model) == expected[name]
 
     def test_case_a_communication_rows(self):
         theo = model_from_expos(
@@ -76,7 +76,7 @@ class TestExponentDeviationTable:
             ),
         }
         for model, expected in rows.values():
-            assert exponent_deviation(theo, model).deviations == expected
+            assert exponent_deviation(theo, model) == expected
 
     def test_case_b_rows(self):
         theo = model_from_expos(
@@ -101,27 +101,27 @@ class TestExponentDeviationTable:
             ),
         }
         for model, expected in rows.values():
-            assert exponent_deviation(theo, model).deviations == expected
+            assert exponent_deviation(theo, model) == expected
 
     def test_identical_models_zero(self):
         theo, _ = case_a_models()
-        report = exponent_deviation(theo, theo)
-        assert all(d == 0 for d in report.deviations.values())
+        deviations = exponent_deviation(theo, theo)
+        assert all(d == 0 for d in deviations.values())
 
     def test_symmetric(self):
         theo, models = case_a_models()
         for model in models.values():
             assert (
-                exponent_deviation(theo, model).deviations
-                == exponent_deviation(model, theo).deviations
+                exponent_deviation(theo, model)
+                == exponent_deviation(model, theo)
             )
 
     def test_triangle_inequality_per_parameter(self):
         theo, models = case_a_models()
         a, b, c = theo, models["classic"], models["dnn"]
-        ab = exponent_deviation(a, b).deviations
-        bc = exponent_deviation(b, c).deviations
-        ac = exponent_deviation(a, c).deviations
+        ab = exponent_deviation(a, b)
+        bc = exponent_deviation(b, c)
+        ac = exponent_deviation(a, c)
         for name in CASE_A:
             assert ac[name] <= ab[name] + bc[name]
 
@@ -367,5 +367,4 @@ class TestDeviationFromTruth:
     def test_missing_parameter_counts_zero_exponent(self):
         model = model_from_expos(CASE_B, {"n": (1, 0)})
         truth = {"n": (F(1), 0), "p": (F(1), 0)}
-        report = deviation_from_truth(model, truth)
-        assert report.deviations == {"n": F(0), "p": F(1)}
+        assert deviation_from_truth(model, truth) == {"n": F(0), "p": F(1)}

@@ -10,8 +10,7 @@ from perfprior.modeler import (
     cv_score,
     fit_coefficients,
     fit_skeleton_to_time,
-    search_multi,
-    search_single,
+    search,
     single_param_hypotheses,
 )
 from perfprior.pmnf import (
@@ -27,6 +26,7 @@ from perfprior.pmnf import (
 F = Fraction
 
 X5 = (4.0, 8.0, 16.0, 32.0, 64.0)
+X_SPACE = ParameterSpace(("x",), (X5,))
 
 
 def one_param_data(fn, values=X5):
@@ -106,32 +106,34 @@ class TestHypothesisFamily:
 class TestSearchSingle:
     def test_exact_quadratic(self):
         data = one_param_data(lambda x: 3 + 0.5 * x**2)
-        model = search_single(data, "x")
+        model = search(data, X_SPACE)
         assert leading_exponents(model)["x"] == (F(2), 0)
         assert abs(model.constant - 3) / 3 < 1e-6
         assert abs(model.terms[0].coefficient - 0.5) / 0.5 < 1e-6
-        oracle = exhaustive_oracle(data, "single", ParameterSpace(("x",), (X5,)))
+        oracle = exhaustive_oracle(data, "single", X_SPACE)
         assert leading_exponents(oracle) == leading_exponents(model)
 
     def test_constant_data_prefers_fewer_terms(self):
-        model = search_single(one_param_data(lambda x: 7.0), "x")
+        model = search(one_param_data(lambda x: 7.0), X_SPACE)
         assert model.terms == ()
         assert model.constant == pytest.approx(7.0)
 
     def test_pure_log(self):
         data = one_param_data(lambda x: 2 * np.log2(x))
-        model = search_single(data, "x")
+        model = search(data, X_SPACE)
         assert leading_exponents(model)["x"] == (F(0), 1)
 
     def test_needs_three_distinct_values(self):
         with pytest.raises(InsufficientDataError):
-            search_single({(2.0,): 1.0, (4.0,): 2.0}, "x")
+            search(
+                {(2.0,): 1.0, (4.0,): 2.0}, ParameterSpace(("x",), ((2.0, 4.0),))
+            )
 
 
 class TestSearchMulti:
     def test_exact_bilinear(self, pn_space):
         data = {c: 1 + 0.5 * c[1] * c[0] for c in pn_space.grid()}
-        model = search_multi(data, pn_space)
+        model = search(data, pn_space)
         lead = leading_exponents(model)
         assert lead["p"] == (F(1), 0) and lead["n"] == (F(1), 0)
         assert len(model.terms) == 1
@@ -141,7 +143,7 @@ class TestSearchMulti:
     def test_worked_example_shape(self, pn_space):
         # computation shape O(n + n*p)
         data = {c: 2.0 + 3e-4 * c[1] + 5e-7 * c[1] * c[0] for c in pn_space.grid()}
-        model = search_multi(data, pn_space)
+        model = search(data, pn_space)
         lead = leading_exponents(model)
         assert lead["n"][0] == F(1)
         assert lead["p"][0] == F(1)
@@ -150,14 +152,15 @@ class TestSearchMulti:
 
     def test_constant(self, pn_space):
         data = {c: 42.0 for c in pn_space.grid()}
-        model = search_multi(data, pn_space)
+        model = search(data, pn_space)
         assert model.terms == ()
         assert model.constant == pytest.approx(42.0)
 
     def test_rejects_partial_grid(self, pn_space):
-        data = {c: 1.0 for c in pn_space.grid()[:-1]}
-        with pytest.raises(ValidationError):
-            search_multi(data, pn_space)
+        for space in (X_SPACE, pn_space):
+            data = {c: 1.0 for c in space.grid()[:-1]}
+            with pytest.raises(ValidationError):
+                search(data, space)
 
     def test_rejects_m_above_three(self):
         space = ParameterSpace(
@@ -165,7 +168,7 @@ class TestSearchMulti:
         )
         data = {c: 1.0 for c in space.grid()}
         with pytest.raises(ValidationError):
-            search_multi(data, space)
+            search(data, space)
 
 
 def _random_single_dataset(rng):
@@ -199,7 +202,7 @@ class TestOracleEquivalence:
         for _ in range(100):
             data = _random_single_dataset(rng)
             space = ParameterSpace(("x",), (tuple(sorted(k[0] for k in data)),))
-            got = search_single(data, "x")
+            got = search(data, space)
             want = exhaustive_oracle(data, "single", space)
             if (
                 len(got.terms) == len(want.terms)
@@ -233,7 +236,7 @@ class TestOracleEquivalence:
             if rng.random() < 0.5:
                 y = y * (1.0 + 0.1 * rng.uniform(0, 1, size=len(y)))
             data = {tuple(c): float(v) for c, v in zip(pn_space.grid(), y)}
-            got = search_multi(data, pn_space)
+            got = search(data, pn_space)
             want = exhaustive_oracle(data, "multi_restricted", pn_space)
             if leading_exponents(got) == leading_exponents(want) and len(
                 got.terms
@@ -286,4 +289,4 @@ class TestDeterminism:
         data = {
             c: float(rng.uniform(1, 2)) + 1e-5 * c[0] * c[1] for c in pn_space.grid()
         }
-        assert search_multi(data, pn_space) == search_multi(dict(data), pn_space)
+        assert search(data, pn_space) == search(dict(data), pn_space)
