@@ -142,21 +142,14 @@ def cmd_model(args) -> int:
 
 
 def _study_command(args, study, **options) -> int:
-    """Run a study on the spec's simulated measurements; SWC counts MPI
-    ranks on the spec's ranks parameter."""
-    spec = benchgen.load_spec(args.spec)
-    exp = benchgen.simulate_measurements(
-        spec, args.reps, args.baseline_noise, args.seed
-    )
-    truth = benchgen.truth_by_callpath(spec)
-    test_point = evaluation.next_test_point(exp.space)
+    """Run a study on the spec, simulated with --reps, --baseline-noise
+    and --seed."""
     table = study(
-        exp,
-        truth,
+        benchgen.load_spec(args.spec),
         pipeline=args.pipeline,
+        reps=args.reps,
+        baseline_noise=args.baseline_noise,
         seed=args.seed,
-        ranks_param=spec.ranks_param,
-        reference={n: benchgen.true_time(spec, n, test_point) for n in truth},
         jobs=args.jobs,
         **options,
     )

@@ -21,7 +21,7 @@ import math
 import statistics
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ParseError, ValidationError
 
@@ -213,6 +213,20 @@ class ExperimentSet:
             if cp.name == name:
                 return cp, metrics
         raise KeyError(f"no call path named {name!r}")
+
+    def with_time(
+        self, fn: Callable[[int, MetricSeries], MetricSeries]
+    ) -> ExperimentSet:
+        """The same experiment with each call path's runtime series replaced
+        by fn(call path index, runtime series); effort series, which no
+        trial touches, pass through unchanged."""
+        return ExperimentSet(
+            self.space,
+            tuple(
+                (cp, {m: fn(i, s) if m == METRIC_TIME else s for m, s in ms.items()})
+                for i, (cp, ms) in enumerate(self.callpaths)
+            ),
+        )
 
 
 def aggregate(series: MetricSeries) -> dict[Coordinate, float]:

@@ -3,9 +3,13 @@
 Exponent deviation (ED) compares leading monomial exponents per parameter;
 logarithmic and constant factors count as exponent 0, matching soft-O
 comparison. Relative error (RE) measures predictive power at the test
-point one step beyond the training range (same interval rule). Studies
-aggregate both over seeded noise-injection or repetition-subset trials;
-at desk scale the RE reference is the noise-free simulated runtime.
+point one step beyond the training range (same interval rule).
+
+A study takes a benchmark spec. It simulates the spec's measurements
+once, refits them on every seeded noise-injection or repetition-subset
+trial, and averages both metrics per row: ED against the spec's
+ground-truth exponents, RE against its noise-free runtime at the test
+point. SWC counts MPI ranks on the spec's ranks parameter.
 """
 
 from __future__ import annotations
@@ -20,14 +24,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import (
-    METRIC_TIME,
-    Coordinate,
-    ExperimentSet,
-    MetricSeries,
-    ParameterSpace,
-    subset_repetitions,
-)
+from . import benchgen
+from .dataset import Coordinate, ExperimentSet, ParameterSpace, subset_repetitions
 from .errors import IrregularSpacingError, ValidationError
 from .noise import NoiseConfig, NoisePattern, inject
 from .pipelines import run_pipeline
@@ -37,9 +35,6 @@ STUDY_FORMAT_VERSION = 1
 
 # most repetition subsets of one size that a repetition study refits
 MAX_SUBSETS = 64
-
-# ground truth: call path name -> parameter name -> leading (i, j)
-TruthExponents = Mapping[str, Mapping[str, Expo]]
 
 
 def deviation_from_truth(
@@ -158,22 +153,17 @@ class StudyTable:
 
 def _trial_metrics(
     models: Mapping[str, PmnfModel],
-    truth: TruthExponents,
-    test_point: Coordinate | None,
-    reference: Mapping[str, float] | None,
+    truth: Mapping[str, Mapping[str, Expo]],
+    test_point: Coordinate,
+    reference: Mapping[str, float],
 ) -> tuple[float, float]:
     """Mean ED and mean RE of one pipeline run over its call paths."""
-    eds = []
-    res = []
+    eds, res = [], []
     for name, model in models.items():
-        if name in truth:
-            deviations = deviation_from_truth(model, truth[name])
-            eds.append(float(sum(deviations.values(), Fraction(0)) / len(deviations)))
-        if reference is not None and test_point is not None and name in reference:
-            res.append(relative_error(model, test_point, reference[name]))
-    ed = float(np.mean(eds)) if eds else 0.0
-    re = float(np.mean(res)) if res else float("nan")
-    return ed, re
+        deviations = deviation_from_truth(model, truth[name])
+        eds.append(float(sum(deviations.values(), Fraction(0)) / len(deviations)))
+        res.append(relative_error(model, test_point, reference[name]))
+    return float(np.mean(eds)), float(np.mean(res))
 
 
 def _derived_seed(seed: int, *path: int) -> int:
@@ -202,15 +192,18 @@ def _run_cell(context: tuple, cell: tuple) -> StudyRow:
 
 
 def _run_study(
-    study: str, exp: ExperimentSet, truth: TruthExponents, pipeline: str,
-    ranks_param: str | None, reference: Mapping[str, float] | None,
-    cells: list[tuple], jobs: int,
+    study: str, spec: benchgen.BenchmarkSpec, pipeline: str, reps: int,
+    baseline_noise: float, seed: int, cells: list[tuple], jobs: int,
 ) -> StudyTable:
-    """One row per (level, pattern, make_trial, keys) cell, in a process
-    pool when jobs > 1 (same rows in the same order)."""
-    test_point = next_test_point(exp.space) if reference else None
+    """Simulate the spec once and fit one row per (level, pattern,
+    make_trial, keys) cell, in a process pool when jobs > 1 (same rows in
+    the same order)."""
+    exp = benchgen.simulate_measurements(spec, reps, baseline_noise, seed)
+    truth = benchgen.truth_by_callpath(spec)
+    test_point = next_test_point(spec.space)
+    reference = {name: benchgen.true_time(spec, name, test_point) for name in truth}
     run_cell = functools.partial(
-        _run_cell, (exp, pipeline, ranks_param, truth, test_point, reference)
+        _run_cell, (exp, pipeline, spec.ranks_param, truth, test_point, reference)
     )
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -218,43 +211,45 @@ def _run_study(
     return StudyTable(study, pipeline, tuple(map(run_cell, cells)))
 
 
-def _noisy(exp: ExperimentSet, key: tuple[str, float, int]) -> ExperimentSet:
-    pattern, intensity, seed = key
-    return inject(exp, NoiseConfig(NoisePattern(pattern), intensity, seed=seed))
+def _noisy(
+    pattern: str, intensity: float, seed: int, cell: int,
+    exp: ExperimentSet, trial: int,
+) -> ExperimentSet:
+    config = NoiseConfig(
+        NoisePattern(pattern), intensity, seed=_derived_seed(seed, cell, trial)
+    )
+    return inject(exp, config)
 
 
 def noise_robustness_study(
-    exp: ExperimentSet,
-    truth: TruthExponents,
+    spec: benchgen.BenchmarkSpec,
     intensities: Sequence[float],
     patterns: Sequence[str],
     trials: int = 100,
     pipeline: str = "swc",
+    reps: int = 5,
+    baseline_noise: float = 0.0,
     seed: int = 0,
-    ranks_param: str | None = None,
-    reference: Mapping[str, float] | None = None,
     jobs: int = 1,
 ) -> StudyTable:
     """Inject noise per (intensity, pattern) cell and refit, many trials.
 
-    ED is measured against ground truth; RE against the supplied noise-free
-    reference values at the test point. Results are deterministic in the
-    seed and independent of the parallelism degree.
+    The spec is simulated once with `reps` repetitions at `baseline_noise`.
+    Results are deterministic in the seed and independent of the
+    parallelism degree.
     """
     cells = [
         (
-            intensity, pattern, _noisy,
-            [
-                (pattern, float(intensity), _derived_seed(seed, cell, trial))
-                for trial in range(trials)
-            ],
+            intensity, pattern,
+            functools.partial(_noisy, pattern, float(intensity), seed, cell),
+            range(trials),
         )
         for cell, (intensity, pattern) in enumerate(
             itertools.product(intensities, patterns)
         )
     ]
     return _run_study(
-        "noise", exp, truth, pipeline, ranks_param, reference, cells, jobs
+        "noise", spec, pipeline, reps, baseline_noise, seed, cells, jobs
     )
 
 
@@ -271,37 +266,25 @@ def _subsets(r: int, k: int, seed: int) -> list[tuple[int, ...]]:
 
 
 def _restrict_repetitions(exp: ExperimentSet, subset: Sequence[int]) -> ExperimentSet:
-    callpaths = []
-    for cp, metrics in exp.callpaths:
-        new_metrics: dict[str, MetricSeries] = {}
-        for metric, series in metrics.items():
-            if metric == METRIC_TIME:
-                new_metrics[metric] = subset_repetitions(series, subset)
-            else:
-                new_metrics[metric] = series
-        callpaths.append((cp, new_metrics))
-    return ExperimentSet(exp.space, tuple(callpaths))
+    return exp.with_time(lambda _, series: subset_repetitions(series, subset))
 
 
 def repetition_study(
-    exp: ExperimentSet,
-    truth: TruthExponents,
+    spec: benchgen.BenchmarkSpec,
     pipeline: str = "swc",
+    reps: int = 5,
+    baseline_noise: float = 0.5,
     seed: int = 0,
-    ranks_param: str | None = None,
-    reference: Mapping[str, float] | None = None,
     jobs: int = 1,
 ) -> StudyTable:
-    """Refit on every subset of time repetitions, per subset size k."""
-    if not exp.callpaths:
-        raise ValidationError("repetition study needs at least one call path")
-    r = exp.callpaths[0][1][METRIC_TIME].repetitions
-    if r < 2:
+    """Refit on every subset of the `reps` time repetitions, per subset
+    size k."""
+    if reps < 2:
         raise ValidationError("repetition study needs at least 2 repetitions")
     cells = [
-        (k, "-", _restrict_repetitions, _subsets(r, k, seed))
-        for k in range(1, r + 1)
+        (k, "-", _restrict_repetitions, _subsets(reps, k, seed))
+        for k in range(1, reps + 1)
     ]
     return _run_study(
-        "repetitions", exp, truth, pipeline, ranks_param, reference, cells, jobs
+        "repetitions", spec, pipeline, reps, baseline_noise, seed, cells, jobs
     )

@@ -81,31 +81,24 @@ def inject(exp: ExperimentSet, config: NoiseConfig) -> ExperimentSet:
     """Perturb time measurements; all other series are carried unchanged."""
     if config.intensity == 0 or config.pattern.kind == "none":
         return exp
-    callpaths = []
-    for cp_idx, (cp, metrics) in enumerate(exp.callpaths):
-        new_metrics = {}
-        for metric, series in metrics.items():
-            if metric != METRIC_TIME:
-                new_metrics[metric] = series
-                continue
-            data = {}
-            for coord_idx, coord in enumerate(series.coordinates()):
-                reps = []
-                for pos, rep_id in enumerate(series.rep_ids):
-                    y = series.data[coord][pos]
-                    rng = np.random.default_rng(
-                        [config.seed, cp_idx, coord_idx, rep_id]
-                    )
-                    if rng.random() <= config.selection_fraction:
-                        s = sample(config.pattern, rng)
-                        y = y * (1.0 + config.intensity * s)
-                        if not math.isfinite(y):
-                            raise PerfPriorError(
-                                f"noise intensity {100 * config.intensity:g}% "
-                                f"overflows the runtime at {coord}"
-                            )
-                    reps.append(y)
-                data[coord] = tuple(reps)
-            new_metrics[metric] = MetricSeries(metric, data, series.rep_ids)
-        callpaths.append((cp, new_metrics))
-    return ExperimentSet(exp.space, tuple(callpaths))
+
+    def perturb(cp_idx: int, series: MetricSeries) -> MetricSeries:
+        data = {}
+        for coord_idx, coord in enumerate(series.coordinates()):
+            reps = []
+            for pos, rep_id in enumerate(series.rep_ids):
+                y = series.data[coord][pos]
+                rng = np.random.default_rng([config.seed, cp_idx, coord_idx, rep_id])
+                if rng.random() <= config.selection_fraction:
+                    s = sample(config.pattern, rng)
+                    y = y * (1.0 + config.intensity * s)
+                    if not math.isfinite(y):
+                        raise PerfPriorError(
+                            f"noise intensity {100 * config.intensity:g}% "
+                            f"overflows the runtime at {coord}"
+                        )
+                reps.append(y)
+            data[coord] = tuple(reps)
+        return MetricSeries(METRIC_TIME, data, series.rep_ids)
+
+    return exp.with_time(perturb)

@@ -84,17 +84,15 @@ def test_criterion_2_noise_invariance_of_swc_structure():
     n_specs = 20
     for seed in range(1, n_specs + 1):
         spec = random_spec(seed, 2, 1)
-        exp = simulate_measurements(spec, reps=5, baseline_noise=0.0, seed=seed)
-        truth = truth_by_callpath(spec)
         swc = noise_robustness_study(
-            exp, truth, intensities=intensities, patterns=patterns,
+            spec, intensities=intensities, patterns=patterns,
             trials=20, pipeline="swc", seed=seed,
         )
         for row in swc.rows:
             assert row.mean_ed == 0.0, (seed, row)
             assert row.std_ed == 0.0, (seed, row)
         classic = noise_robustness_study(
-            exp, truth, intensities=intensities, patterns=patterns,
+            spec, intensities=intensities, patterns=patterns,
             trials=20, pipeline="classic", seed=seed,
         )
         high = [row.mean_ed for row in classic.rows if row.level >= 0.5]
@@ -365,25 +363,37 @@ def test_criterion_7_measurement_budget():
 
 
 def test_criterion_8_repetition_stability():
-    """SWC deviation is constant across repetition subsets; classic is not."""
+    """SWC deviation is constant across repetition subsets; classic is not.
+    SWC at k repetitions predicts better than classic at 2k (mean RE pooled
+    over specs, for k = 1 and 2)."""
     n_specs = 20
     classic_unstable = 0
+    levels = [1.0, 2.0, 3.0, 4.0, 5.0]
+    ed = {"swc": np.zeros(len(levels)), "classic": np.zeros(len(levels))}
+    re = {"swc": np.zeros(len(levels)), "classic": np.zeros(len(levels))}
     for seed in range(101, 101 + n_specs):
         spec = random_spec(seed, 2, 1)
-        exp = simulate_measurements(spec, reps=5, baseline_noise=0.5, seed=seed)
-        truth = truth_by_callpath(spec)
-        swc = repetition_study(exp, truth, pipeline="swc", seed=seed)
-        assert [row.level for row in swc.rows] == [1.0, 2.0, 3.0, 4.0, 5.0]
+        swc = repetition_study(spec, pipeline="swc", seed=seed)
+        assert [row.level for row in swc.rows] == levels
         assert len({row.mean_ed for row in swc.rows}) == 1
         for row in swc.rows:
             assert row.std_ed == 0.0, (seed, row)
             assert row.mean_ed == 0.0, (seed, row)
-        classic = repetition_study(exp, truth, pipeline="classic", seed=seed)
+        classic = repetition_study(spec, pipeline="classic", seed=seed)
         if any(row.std_ed > 0 for row in classic.rows):
             classic_unstable += 1
+        for pipeline, table in (("swc", swc), ("classic", classic)):
+            ed[pipeline] += [row.mean_ed for row in table.rows]
+            re[pipeline] += [row.mean_re_pct for row in table.rows]
     assert classic_unstable > n_specs // 2
+    swc_re, classic_re = re["swc"] / n_specs, re["classic"] / n_specs
+    for k in (1, 2):
+        assert swc_re[k - 1] < classic_re[2 * k - 1], (k, swc_re, classic_re)
+    assert all(ed["swc"] == 0.0) and all(ed["classic"] > 0.0), ed
     _report(8, f"SWC rows constant (std 0) for {n_specs}/{n_specs} specs; "
-               f"classic ED std > 0 on {classic_unstable}/{n_specs}")
+               f"classic ED std > 0 on {classic_unstable}/{n_specs}; mean RE "
+               f"SWC k=1 {swc_re[0]:.2f}% < classic k=2 {classic_re[1]:.2f}%, "
+               f"SWC k=2 {swc_re[1]:.2f}% < classic k=4 {classic_re[3]:.2f}%")
 
 
 def _run_cli(workdir, *argv):

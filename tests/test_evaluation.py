@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import fig2_spec, model_from_expos
-from perfprior.benchgen import (
-    random_spec,
-    simulate_measurements,
-    true_time,
-    truth_by_callpath,
-)
+from perfprior import evaluation
+from perfprior.benchgen import random_spec
 from perfprior.dataset import ParameterSpace
 from perfprior.errors import IrregularSpacingError, ValidationError
 from perfprior.evaluation import (
@@ -187,11 +183,8 @@ class TestCostReport:
 
 class TestStudies:
     def test_swc_noise_study_keeps_zero_ed(self):
-        spec = random_spec(3, 2, 1)
-        exp = simulate_measurements(spec, reps=5)
         table = noise_robustness_study(
-            exp,
-            truth_by_callpath(spec),
+            random_spec(3, 2, 1),
             intensities=[0.5],
             patterns=["uniform", "scaled_poisson"],
             trials=3,
@@ -220,49 +213,26 @@ class TestStudies:
             message_elems_term=term_np,
         )
         spec = BenchmarkSpec(0, base.space, (kernel,), "p")
-        exp = simulate_measurements(spec, reps=5)
-        reference = {
-            name: true_time(spec, name, next_test_point(exp.space))
-            for name in ("k00/compute", "k00/send")
-        }
         for pipeline in ("classic", "swc"):
             table = noise_robustness_study(
-                exp,
-                truth_by_callpath(spec),
+                spec,
                 intensities=[0.0],
                 patterns=["uniform"],
                 trials=2,
                 pipeline=pipeline,
                 seed=5,
-                reference=reference,
             )
             assert table.rows[0].mean_ed == 0.0
             assert table.rows[0].mean_re_pct == pytest.approx(0.0, abs=1e-6)
 
     def test_zero_intensity_fig2_swc_exact_classic_close(self):
-        spec = fig2_spec()
-        exp = simulate_measurements(spec, reps=5)
-        reference = {
-            name: true_time(spec, name, next_test_point(exp.space))
-            for name in ("k00/compute", "k00/broadcast")
-        }
-        kwargs = dict(
-            intensities=[0.0],
-            patterns=["uniform"],
-            trials=1,
-            seed=5,
-            reference=reference,
-        )
-        swc = noise_robustness_study(
-            exp, truth_by_callpath(spec), pipeline="swc", **kwargs
-        )
+        kwargs = dict(intensities=[0.0], patterns=["uniform"], trials=1, seed=5)
+        swc = noise_robustness_study(fig2_spec(), pipeline="swc", **kwargs)
         assert swc.rows[0].mean_ed == 0.0
         assert swc.rows[0].mean_re_pct == pytest.approx(0.0, abs=1e-6)
         # the broadcast latency term lies outside the classic candidate
         # family, so classic recovery is close but not exact
-        classic = noise_robustness_study(
-            exp, truth_by_callpath(spec), pipeline="classic", **kwargs
-        )
+        classic = noise_robustness_study(fig2_spec(), pipeline="classic", **kwargs)
         assert classic.rows[0].mean_ed == 0.0
         assert classic.rows[0].mean_re_pct < 0.01
 
@@ -271,12 +241,9 @@ class TestStudies:
         total = 5
         for seed in range(1, total + 1):
             spec = random_spec(seed, 2, 1)
-            exp = simulate_measurements(spec, reps=5)
-            truth = truth_by_callpath(spec)
             tables = {
                 pipeline: noise_robustness_study(
-                    exp,
-                    truth,
+                    spec,
                     intensities=[0.5],
                     patterns=["uniform"],
                     trials=4,
@@ -293,11 +260,7 @@ class TestStudies:
         assert worse == total
 
     def test_repetition_study_swc_constant(self):
-        spec = random_spec(11, 2, 1)
-        exp = simulate_measurements(spec, reps=5, baseline_noise=0.5, seed=2)
-        table = repetition_study(
-            exp, truth_by_callpath(spec), pipeline="swc", seed=3
-        )
+        table = repetition_study(random_spec(11, 2, 1), pipeline="swc", seed=2)
         assert [row.level for row in table.rows] == [1.0, 2.0, 3.0, 4.0, 5.0]
         for row in table.rows:
             assert row.std_ed == 0.0
@@ -310,51 +273,62 @@ class TestStudies:
         unstable = 0
         total = 4
         for seed in range(21, 21 + total):
-            spec = random_spec(seed, 2, 1)
-            exp = simulate_measurements(spec, reps=5, baseline_noise=0.75, seed=seed)
             table = repetition_study(
-                exp, truth_by_callpath(spec), pipeline="classic", seed=1
+                random_spec(seed, 2, 1), pipeline="classic",
+                baseline_noise=0.75, seed=seed,
             )
             if any(row.std_ed > 0 for row in table.rows):
                 unstable += 1
         assert unstable >= total - 1
 
     @pytest.mark.parametrize(
-        "study, baseline_noise, options",
+        "study, options",
         [
             (
                 noise_robustness_study,
-                0.0,
-                dict(intensities=[0.1, 0.5], patterns=["uniform"], trials=2),
+                dict(intensities=[0.1, 0.5], patterns=["uniform"], trials=2,
+                     seed=9),
             ),
             # baseline noise makes every repetition subset a different fit
-            (repetition_study, 0.5, {}),
+            (repetition_study, dict(baseline_noise=0.5, seed=0)),
         ],
         ids=["noise", "reps"],
     )
-    def test_parallel_equals_sequential(self, study, baseline_noise, options):
+    def test_parallel_equals_sequential(self, study, options):
         spec = random_spec(13, 2, 1)
-        exp = simulate_measurements(spec, reps=3, baseline_noise=baseline_noise)
-        truth = truth_by_callpath(spec)
-        reference = {
-            name: true_time(spec, name, next_test_point(exp.space))
-            for name in truth
-        }
-        kwargs = dict(pipeline="classic", seed=9, reference=reference, **options)
-        seq = study(exp, truth, **kwargs, jobs=1)
-        par = study(exp, truth, **kwargs, jobs=2)
+        kwargs = dict(pipeline="classic", reps=3, **options)
+        seq = study(spec, **kwargs, jobs=1)
+        par = study(spec, **kwargs, jobs=2)
         assert seq == par
 
+    def test_trial_seeds_are_derived_when_the_trial_runs(self, monkeypatch):
+        derived = []
+        derive = evaluation._derived_seed
+
+        def counted(*args):
+            derived.append(args)
+            return derive(*args)
+
+        def first_fit(*args):
+            raise RuntimeError("first fit")
+
+        monkeypatch.setattr(evaluation, "_derived_seed", counted)
+        monkeypatch.setattr(evaluation, "run_pipeline", first_fit)
+        with pytest.raises(RuntimeError, match="first fit"):
+            noise_robustness_study(
+                random_spec(3, 2, 1), intensities=[0.1], patterns=["uniform"],
+                trials=10**5, seed=4,
+            )
+        assert derived == [(4, 0, 0)]
+
     def test_table_serialization(self):
-        spec = random_spec(3, 2, 1)
-        exp = simulate_measurements(spec, reps=2)
         table = noise_robustness_study(
-            exp,
-            truth_by_callpath(spec),
+            random_spec(3, 2, 1),
             intensities=[0.02],
             patterns=["uniform"],
             trials=1,
             pipeline="swc",
+            reps=2,
             seed=0,
         )
         doc = table.to_dict()
