@@ -12,6 +12,10 @@ Classes, each hashed over its documents in a fixed order:
   1, 2 and 3 kernels (360 spec files);
 - `simulate`: the `simulate` experiment files of the model sweep below
   (280 files), which pin the simulator's runtimes, blocks and bytes;
+- `inject`: `inject --intensity 75 --selection 0.5` under each noise
+  pattern on `random_spec` seeds 0-39 at m = 2, 2 kernels, simulated with
+  5 repetitions at baseline noise 0.5 (160 files), which pin both
+  per-measurement noise draws, the partial selection and the baseline;
 - `model/<pipeline>`: `model --format machine` stdout for `random_spec`
   seeds 0-119 at m = 1 and m = 2 and 0-39 at m = 3, 2 kernels, 5
   repetitions, 50 % uniform noise (280 fits per pipeline, 560 in all);
@@ -51,6 +55,7 @@ PIPELINES = ("classic", "swc")
 PATTERNS = ("uniform", "truncated_normal", "scaled_poisson", "scaled_exponential")
 MODEL_SEEDS = {1: range(120), 2: range(120), 3: range(40)}
 TRUTH_SEEDS = range(120)
+INJECT_SEEDS = range(40)
 SEARCH_DATASETS = 3000
 
 
@@ -95,6 +100,21 @@ def model_digests(work: Path) -> dict[str, str]:
     return {"simulate": simulated.hexdigest()} | {
         f"model/{p}": d.hexdigest() for p, d in digests.items()
     }
+
+
+def inject_digest(work: Path) -> str:
+    digest = hashlib.sha256()
+    spec, exp, noisy = work / "spec.json", work / "exp.json", work / "noisy.json"
+    for seed in INJECT_SEEDS:
+        benchgen.save_spec(benchgen.random_spec(seed, 2, 2), spec)
+        run("simulate", "--spec", spec, "--reps", 5, "--baseline-noise", 0.5,
+            "--seed", seed, "--out", exp)
+        for pattern in PATTERNS:
+            run("inject", "--experiment", exp, "--pattern", pattern,
+                "--intensity", 75, "--selection", 0.5, "--seed", seed,
+                "--out", noisy)
+            digest.update(noisy.read_bytes())
+    return digest.hexdigest()
 
 
 def study_digests(work: Path) -> dict[str, str]:
@@ -167,6 +187,7 @@ def main() -> None:
         work = Path(tmp)
         digests = {"generate": generate_digest(work)}
         digests.update(model_digests(work))
+        digests["inject"] = inject_digest(work)
         digests.update(study_digests(work))
     digests["truth"] = truth_digest()
     digests["search"] = search_digest()

@@ -48,6 +48,7 @@ from .dataset import (
     write_document,
 )
 from .errors import ParseError, ValidationError
+from .noise import perturb
 from .pmnf import Expo, default_exponent_sets, leading_from_terms, monomial_values
 from .priors import B, B_FRAC, COST_FORMS, LOG_P, has_factor
 
@@ -369,7 +370,7 @@ def simulate_measurements(
 
     Basic blocks and bytes are exact and identical across repetitions;
     runtimes are multiplied per repetition by (1 + baseline_noise * u)
-    with u uniform in [0, 1) from a per-measurement seeded stream.
+    with u uniform in [0, 1) from a per-measurement stream (noise.perturb).
     """
     if reps < 1:
         raise ValidationError("reps must be >= 1")
@@ -380,34 +381,19 @@ def simulate_measurements(
     ranks = spec.space.values[spec.space.names.index(spec.ranks_param)]
     if any(k.mpi_op is not None for k in spec.kernels) and min(ranks) < 2:
         raise ValidationError("communication kernels need rank counts >= 2 everywhere")
-    grid = spec.space.grid()
-    coords = np.array(grid)
+    coords = np.array(spec.space.grid())
     callpaths = []
     for kernel in spec.kernels:
         signals = _kernel_signals(spec, kernel, coords)
         for (cp, _), (runtime, effort) in zip(_callpaths(spec, kernel), signals):
-            cp_index = len(callpaths)
-            times = {}
-            for ci, coord in enumerate(grid):
-                base = float(runtime[ci])
-                if baseline_noise > 0:
-                    rngs = (
-                        np.random.default_rng([seed, cp_index, ci, r])
-                        for r in range(reps)
-                    )
-                    times[coord] = tuple(
-                        base * (1.0 + baseline_noise * rng.random()) for rng in rngs
-                    )
-                else:
-                    times[coord] = (base,) * reps
-            metric = EFFORT_METRIC[cp.kind]
-            counts = {c: (float(v),) * reps for c, v in zip(grid, effort)}
-            series = {
-                METRIC_TIME: MetricSeries(METRIC_TIME, times),
-                metric: MetricSeries(metric, counts),
-            }
-            callpaths.append((cp, series))
-    return ExperimentSet(spec.space, tuple(callpaths))
+            exact = {METRIC_TIME: runtime, EFFORT_METRIC[cp.kind]: effort}
+            callpaths.append((cp, {
+                m: MetricSeries(m, np.repeat(v[:, None], reps, axis=1))
+                for m, v in exact.items()
+            }))
+    exp = ExperimentSet(spec.space, tuple(callpaths))
+    what = f"baseline noise {baseline_noise:g}"
+    return perturb(exp, baseline_noise, np.random.Generator.random, seed, what)
 
 
 def true_time(spec: BenchmarkSpec, callpath: str, coordinate: Coordinate) -> float:

@@ -1,13 +1,15 @@
 """Data model and file I/O for repeated multi-parameter measurements.
 
 An experiment holds, per call path, one series per metric over the full
-cartesian grid of the parameter space. Repetition lists are stored as
-measured; aggregation to a single value per coordinate happens explicitly.
+cartesian grid of the parameter space: a read-only float array of shape
+(grid points, repetitions) whose row g holds the repetitions measured at
+space.grid()[g], the sorted coordinate order. Aggregation to a single
+value per coordinate happens explicitly.
 
-Measurements live in base units (seconds, counts, bytes). Coordinates are
-matched by exact numeric equality, so producers must emit exactly
-representable values. Everything here is immutable after construction and
-all operations are pure functions.
+Measurements live in base units (seconds, counts, bytes). The reader
+places each file record by exact numeric equality of its coordinate, so
+producers must emit exactly representable values. Everything here is
+immutable after construction and all operations are pure functions.
 
 This module also holds the one JSON document reader and writer: benchmark
 spec files go through the same key, type and conversion checks.
@@ -18,10 +20,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import statistics
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import ParseError, ValidationError
 
@@ -118,55 +121,46 @@ class CallPath:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MetricSeries:
-    """Repetition lists per coordinate for one metric.
+    """Measurements of one metric: a row per grid point, a column per repetition.
 
-    rep_ids label the repetition slots so that derived series (see
+    rep_ids label the repetition columns so that derived series (see
     subset_repetitions) remember which original repetitions they carry.
     They are in-memory provenance only and are not serialized.
     """
 
     metric: str
-    data: Mapping[Coordinate, tuple[float, ...]]
+    data: np.ndarray
     rep_ids: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
         if self.metric not in _METRICS:
             raise ValidationError(f"unknown metric {self.metric!r}")
-        fixed = {}
-        rep_len = None
-        for coord, reps in self.data.items():
-            coord = tuple(float(v) for v in coord)
-            reps = tuple(float(r) for r in reps)
-            if not reps:
-                raise ValidationError(f"empty repetition list at {coord}")
-            if rep_len is None:
-                rep_len = len(reps)
-            elif len(reps) != rep_len:
-                raise ValidationError("unequal repetition counts within a series")
-            for r in reps:
-                if not math.isfinite(r):
-                    raise ValidationError(f"non-finite measurement at {coord}")
-                if r < 0:
-                    raise ValidationError(f"negative measurement at {coord}")
-            fixed[coord] = reps
-        if not fixed:
-            raise ValidationError("series has no coordinates")
-        object.__setattr__(self, "data", fixed)
-        if not self.rep_ids:
-            object.__setattr__(self, "rep_ids", tuple(range(rep_len)))
-        else:
-            object.__setattr__(self, "rep_ids", tuple(int(i) for i in self.rep_ids))
-        if len(self.rep_ids) != rep_len:
+        try:
+            data = np.array(self.data, dtype=float)
+        except ValueError as exc:
+            ragged = len({np.shape(row) for row in self.data}) > 1
+            why = "unequal repetition counts" if ragged else f"a non-number ({exc})"
+            raise ValidationError(f"{why} within a series") from None
+        if data.ndim != 2 or data.shape[1] == 0:
+            raise ValidationError("series must be a (grid point x repetition) array")
+        data.setflags(write=False)
+        object.__setattr__(self, "data", data)
+        rep_ids = tuple(int(i) for i in self.rep_ids) or tuple(range(data.shape[1]))
+        if len(rep_ids) != data.shape[1]:
             raise ValidationError("rep_ids length does not match repetition count")
+        object.__setattr__(self, "rep_ids", rep_ids)
+
+    def __eq__(self, other):
+        return isinstance(other, MetricSeries) and (
+            (self.metric, self.rep_ids) == (other.metric, other.rep_ids)
+            and np.array_equal(self.data, other.data)
+        )
 
     @property
     def repetitions(self) -> int:
         return len(self.rep_ids)
-
-    def coordinates(self) -> list[Coordinate]:
-        return sorted(self.data)
 
 
 @dataclass(frozen=True)
@@ -180,7 +174,7 @@ class ExperimentSet:
         object.__setattr__(
             self, "callpaths", tuple((cp, dict(ms)) for cp, ms in self.callpaths)
         )
-        grid = set(self.space.grid())
+        points = math.prod(len(vs) for vs in self.space.values)
         names = set()
         for cp, metrics in self.callpaths:
             if cp.name in names:
@@ -191,16 +185,16 @@ class ExperimentSet:
                     raise ValidationError(
                         f"metric key {metric!r} does not match series {series.metric!r}"
                     )
-                if any(len(coord) != self.space.m for coord in series.data):
-                    raise ValidationError(
-                        f"coordinate length mismatch for {cp.name!r}/{metric}: "
-                        f"expected {self.space.m} values"
-                    )
-                coords = set(series.data)
-                if coords != grid:
+                if series.data.shape[0] != points:
                     raise ValidationError(
                         f"incomplete grid for {cp.name!r}/{metric}: "
-                        f"{len(coords)} of {len(grid)} coordinates"
+                        f"{series.data.shape[0]} of {points} coordinates"
+                    )
+                ok = (np.isfinite(series.data) & (series.data >= 0)).all(axis=1)
+                if not ok.all():
+                    coord = self.space.grid()[int(np.argmin(ok))]
+                    raise ValidationError(
+                        f"non-finite or negative measurement at {coord}"
                     )
             # Effort metrics (basic blocks for computation, bytes for
             # communication) are expected but only enforced where used, so
@@ -229,19 +223,20 @@ class ExperimentSet:
         )
 
 
-def aggregate(series: MetricSeries) -> dict[Coordinate, float]:
-    """Collapse repetition lists to their median per coordinate.
+def aggregate(space: ParameterSpace, series: MetricSeries) -> dict[Coordinate, float]:
+    """Collapse each grid point's repetitions to their median, by coordinate.
 
     The median of an even-length list is the mean of the two middle order
     statistics.
     """
-    return {
-        coord: float(statistics.median(reps)) for coord, reps in series.data.items()
-    }
+    reps = np.sort(series.data, axis=1)
+    k = reps.shape[1] // 2
+    medians = reps[:, k] if reps.shape[1] % 2 else (reps[:, k - 1] + reps[:, k]) / 2
+    return dict(zip(space.grid(), medians.tolist()))
 
 
 def subset_repetitions(series: MetricSeries, indices: Iterable[int]) -> MetricSeries:
-    """Restrict a series to the given repetition positions (everywhere)."""
+    """Restrict a series to the given repetition columns (everywhere)."""
     idx = sorted(set(int(i) for i in indices))
     if not idx:
         raise ValidationError("repetition subset must be non-empty")
@@ -249,8 +244,9 @@ def subset_repetitions(series: MetricSeries, indices: Iterable[int]) -> MetricSe
         raise ValidationError(
             f"repetition index out of range 0..{series.repetitions - 1}"
         )
-    data = {c: tuple(reps[i] for i in idx) for c, reps in series.data.items()}
-    return MetricSeries(series.metric, data, tuple(series.rep_ids[i] for i in idx))
+    return MetricSeries(
+        series.metric, series.data[:, idx], tuple(series.rep_ids[i] for i in idx)
+    )
 
 
 def require_keys(
@@ -329,8 +325,8 @@ def experiment_to_dict(exp: ExperimentSet) -> dict:
             entry["mpi_op"] = cp.mpi_op.value
         entry["metrics"] = {
             metric: [
-                {"coordinate": list(c), "repetitions": list(series.data[c])}
-                for c in grid
+                {"coordinate": list(c), "repetitions": reps}
+                for c, reps in zip(grid, series.data.tolist())
             ]
             for metric, series in sorted(metrics.items())
         }
@@ -343,6 +339,7 @@ def experiment_from_dict(doc) -> ExperimentSet:
     if require_int(doc["format_version"], "format_version") != FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {doc['format_version']!r}")
     space = space_from_dict(doc["parameters"])
+    grid = space.grid()
     callpaths = []
     for c in require_list(doc["callpaths"], "callpaths"):
         require_keys(c, "callpath", ["name", "kind", "metrics"], ["mpi_op"])
@@ -357,11 +354,23 @@ def experiment_from_dict(doc) -> ExperimentSet:
                 coord = tuple(require_number(v, "coordinate") for v in raw_coord)
                 if coord in data:
                     raise ParseError(f"duplicate coordinate {coord} in {cp.name!r}")
-                data[coord] = tuple(
+                data[coord] = [
                     require_number(r, "repetitions")
                     for r in require_list(rec["repetitions"], "repetitions")
+                ]
+                if not data[coord]:
+                    raise ValidationError(f"empty repetition list at {coord}")
+            where = f"{cp.name!r}/{metric}"
+            if any(len(coord) != space.m for coord in data):
+                raise ValidationError(
+                    f"coordinate length mismatch for {where}: expected {space.m} values"
                 )
-            metrics[metric] = MetricSeries(metric, data)
+            if data.keys() != set(grid):
+                raise ValidationError(
+                    f"incomplete grid for {where}: "
+                    f"{len(data)} of {len(grid)} coordinates"
+                )
+            metrics[metric] = MetricSeries(metric, [data[c] for c in grid])
         callpaths.append((cp, metrics))
     return ExperimentSet(space, tuple(callpaths))
 

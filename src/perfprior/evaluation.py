@@ -126,8 +126,8 @@ class StudyTable:
                     "pattern": r.pattern,
                     "mean_ed": r.mean_ed,
                     "std_ed": r.std_ed,
-                    "mean_re_pct": None if math.isnan(r.mean_re_pct) else r.mean_re_pct,
-                    "std_re_pct": None if math.isnan(r.std_re_pct) else r.std_re_pct,
+                    "mean_re_pct": r.mean_re_pct,
+                    "std_re_pct": r.std_re_pct,
                     "trials": r.trials,
                 }
                 for r in self.rows
@@ -238,6 +238,8 @@ def noise_robustness_study(
     Results are deterministic in the seed and independent of the
     parallelism degree.
     """
+    if trials < 1:
+        raise ValidationError("noise study needs at least 1 trial")
     cells = [
         (
             intensity, pattern,

@@ -146,22 +146,6 @@ def _select(
     return skels[best], _snap(scores[best])
 
 
-def _line_views(
-    space: ParameterSpace, data: Mapping[Coordinate, float], axis: int
-) -> list[np.ndarray]:
-    """Targets of every grid line along one axis, in canonical order."""
-    others = [space.values[l] for l in range(space.m) if l != axis]
-    lines = []
-    for fixed in itertools.product(*others):
-        y = []
-        for v in space.values[axis]:
-            coord = list(fixed)
-            coord.insert(axis, v)
-            y.append(data[tuple(coord)])
-        lines.append(np.array(y))
-    return lines
-
-
 def _combine_exponents(
     terms: Mapping[int, tuple[Expo, ...]], subset: Sequence[int], m: int
 ) -> tuple[Expo, ...]:
@@ -196,16 +180,20 @@ def search(data: Mapping[Coordinate, float], space: ParameterSpace) -> PmnfModel
     """Hierarchical search over the full grid; see module docstring."""
     if space.m not in (1, 2, 3):
         raise ValidationError("hypothesis search supports m in {1, 2, 3}")
-    if set(data) != set(space.grid()):
+    grid = space.grid()
+    if set(data) != set(grid):
         raise ValidationError("hypothesis search requires the full grid")
     if space.m == 1 and len(space.values[0]) < 3:
         raise InsufficientDataError("need at least 3 distinct parameter values")
 
+    y = np.array([data[c] for c in grid], dtype=float)
+    cube = y.reshape([len(vs) for vs in space.values])
     best_terms: dict[int, tuple[Expo, ...]] = {}
     for axis in range(space.m):
         hyps = single_param_hypotheses(space.names[axis])
         axis_coords = np.array(space.values[axis], dtype=float)[:, None]
-        lines = _line_views(space, data, axis)
+        # every grid line along the axis, the other axes in grid order
+        lines = np.moveaxis(cube, axis, -1).reshape(-1, len(space.values[axis]))
         line_scores = _loo_scores(axis_coords, hyps, lines)
         line_scores[line_scores < SCORE_FLOOR] = 0.0
         winner, _ = _select(
@@ -218,8 +206,7 @@ def search(data: Mapping[Coordinate, float], space: ParameterSpace) -> PmnfModel
             best_terms[axis] = tuple(exps)
 
     candidates = _candidates(space, best_terms)
-    coords, y = _ordered(data)
-    scores = _loo_scores(coords, candidates, [y])[:, 0]
+    scores = _loo_scores(np.array(grid, dtype=float), candidates, [y])[:, 0]
     winner, _ = _select(candidates, scores, [_skeleton_key(c) for c in candidates])
     coef, _ = fit_coefficients(winner, data)
     return model_from_skeleton(winner, coef)

@@ -8,17 +8,19 @@ so an intensity of 0.75 means up to +75% runtime. Effort metrics
 Every measurement gets its own random stream derived from the global seed
 and its (call path, coordinate, repetition) identity, which makes
 injection order-independent and lets it commute with repetition
-subsetting.
+subsetting. The one loop that draws from those streams, `perturb`, also
+applies the simulator's multiplicative baseline noise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .dataset import METRIC_TIME, ExperimentSet, MetricSeries
+from .dataset import ExperimentSet, MetricSeries
 from .errors import PerfPriorError, ValidationError
 
 PATTERN_NAMES = (
@@ -77,28 +79,41 @@ def sample(pattern: NoisePattern, rng: np.random.Generator) -> float:
     raise ValidationError(f"unknown noise pattern {pattern.kind!r}")
 
 
-def inject(exp: ExperimentSet, config: NoiseConfig) -> ExperimentSet:
-    """Perturb time measurements; all other series are carried unchanged."""
-    if config.intensity == 0 or config.pattern.kind == "none":
+def perturb(
+    exp: ExperimentSet, level: float, draw: Callable, seed: int, what: str
+) -> ExperimentSet:
+    """Multiply each runtime y by 1 + level * draw(rng), where rng is the
+    measurement's own stream default_rng([seed, call path, grid point, rep_id]);
+    an overflow raises an error that names `what`, the noise setting."""
+    if level == 0:
         return exp
 
-    def perturb(cp_idx: int, series: MetricSeries) -> MetricSeries:
-        data = {}
-        for coord_idx, coord in enumerate(series.coordinates()):
-            reps = []
-            for pos, rep_id in enumerate(series.rep_ids):
-                y = series.data[coord][pos]
-                rng = np.random.default_rng([config.seed, cp_idx, coord_idx, rep_id])
-                if rng.random() <= config.selection_fraction:
-                    s = sample(config.pattern, rng)
-                    y = y * (1.0 + config.intensity * s)
-                    if not math.isfinite(y):
-                        raise PerfPriorError(
-                            f"noise intensity {100 * config.intensity:g}% "
-                            f"overflows the runtime at {coord}"
-                        )
-                reps.append(y)
-            data[coord] = tuple(reps)
-        return MetricSeries(METRIC_TIME, data, series.rep_ids)
+    def perturb_series(cp_idx: int, series: MetricSeries) -> MetricSeries:
+        out = np.array([
+            [
+                y * (1.0 + level * draw(np.random.default_rng([seed, cp_idx, g, r])))
+                for y, r in zip(row, series.rep_ids)
+            ]
+            for g, row in enumerate(series.data.tolist())
+        ])
+        finite = np.isfinite(out).all(axis=1)
+        if not finite.all():
+            coord = exp.space.grid()[int(np.argmin(finite))]
+            raise PerfPriorError(f"{what} overflows the runtime at {coord}")
+        return MetricSeries(series.metric, out, series.rep_ids)
 
-    return exp.with_time(perturb)
+    return exp.with_time(perturb_series)
+
+
+def inject(exp: ExperimentSet, config: NoiseConfig) -> ExperimentSet:
+    """Perturb time measurements; all other series are carried unchanged.
+    A measurement is selected with probability selection_fraction."""
+    if config.pattern.kind == "none":
+        return exp
+
+    def draw(rng: np.random.Generator) -> float:
+        selected = rng.random() <= config.selection_fraction
+        return sample(config.pattern, rng) if selected else 0.0
+
+    what = f"noise intensity {100 * config.intensity:g}%"
+    return perturb(exp, config.intensity, draw, config.seed, what)

@@ -26,7 +26,8 @@ def run_pipeline(
     for cp, metrics in exp.callpaths:
         try:
             if name == "classic":
-                models[cp.name] = search(aggregate(metrics[METRIC_TIME]), exp.space)
+                time_data = aggregate(exp.space, metrics[METRIC_TIME])
+                models[cp.name] = search(time_data, exp.space)
             else:
                 models[cp.name] = build_swc_model(exp, cp.name, ranks_param)
         except (InsufficientDataError, ModelingError, KeyError) as exc:

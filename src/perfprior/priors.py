@@ -143,8 +143,7 @@ def model_effort(exp: ExperimentSet, callpath: str, metric: str) -> PmnfModel:
     _, metrics = exp.callpath(callpath)
     if metric not in metrics:
         raise ModelingError(f"call path {callpath!r} lacks metric {metric!r}")
-    data = aggregate(metrics[metric])
-    return search(data, exp.space)
+    return search(aggregate(exp.space, metrics[metric]), exp.space)
 
 
 def build_swc_model(
@@ -166,6 +165,6 @@ def build_swc_model(
         skeleton = derive_communication_prior(cp.mpi_op, effort_model, ranks_param)
     if METRIC_TIME not in metrics:
         raise ModelingError(f"call path {callpath!r} lacks metric {METRIC_TIME!r}")
-    time_data = aggregate(metrics[METRIC_TIME])
+    time_data = aggregate(exp.space, metrics[METRIC_TIME])
     return fit_skeleton_to_time(skeleton, time_data)
 

@@ -109,7 +109,7 @@ class TestSimulate:
     def test_zero_baseline_noise_zero_variance(self, experiment_file):
         exp = load_experiment(experiment_file)
         for cp, metrics in exp.callpaths:
-            for reps in metrics["time_s"].data.values():
+            for reps in metrics["time_s"].data.tolist():
                 assert len(set(reps)) == 1
 
     def test_missing_spec_exits_3(self, tmp_path, capsys):
@@ -265,6 +265,13 @@ class TestInject:
         (("study-noise", "--spec", "s.json", "--intensities", "1e308",
           "--patterns", "uniform", "--trials", "1"),
          "intensity 1e+308% overflows"),
+        (("simulate", "--spec", "s.json", "--out", "n.json",
+          "--baseline-noise", "1e308"), "baseline noise 1e+308 overflows"),
+        (("study-noise", "--spec", "s.json", "--baseline-noise", "1e308",
+          "--intensities", "10", "--patterns", "uniform", "--trials", "1"),
+         "baseline noise 1e+308 overflows"),
+        (("study-reps", "--spec", "s.json", "--baseline-noise", "1e308"),
+         "baseline noise 1e+308 overflows"),
     ],
     ids=[
         "baseline-noise-nan", "baseline-noise-inf", "intensity-nan",
@@ -272,6 +279,8 @@ class TestInject:
         "intensities-empty", "patterns-empty", "study-reps-1",
         "simulate-reps-10001", "study-noise-reps-10001", "study-reps-10001",
         "intensity-overflows", "intensities-overflow",
+        "simulate-baseline-noise-overflows", "study-noise-baseline-noise-overflows",
+        "study-reps-baseline-noise-overflows",
     ],
 )
 def test_non_finite_or_negative_float_flag_exits_2(

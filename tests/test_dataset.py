@@ -19,8 +19,8 @@ from perfprior.errors import ParseError, ValidationError
 
 def small_experiment(reps=5):
     space = ParameterSpace(("p", "n"), ((2.0, 4.0), (10.0, 20.0)))
-    time = {c: tuple(1.0 + 0.1 * r for r in range(reps)) for c in space.grid()}
-    bb = {c: (100.0,) * reps for c in space.grid()}
+    time = [[1.0 + 0.1 * r for r in range(reps)] for _ in space.grid()]
+    bb = [[100.0] * reps for _ in space.grid()]
     cp = CallPath("main/work", "computation")
     return ExperimentSet(
         space,
@@ -108,6 +108,26 @@ class TestRoundTrip:
         with pytest.raises(ValidationError, match="incomplete grid"):
             load_experiment(path)
 
+    def test_records_in_reverse_order_load_equal(self, tmp_path):
+        exp = simulate_measurements(random_spec(11, 2, 1), reps=2, baseline_noise=0.3)
+        doc = experiment_to_dict(exp)
+        for _, metrics in exp.callpaths:
+            assert len({tuple(r) for r in metrics["time_s"].data.tolist()}) > 1
+        for entry in doc["callpaths"]:
+            for records in entry["metrics"].values():
+                records.reverse()
+        path = tmp_path / "reversed.json"
+        path.write_text(json.dumps(doc))
+        assert load_experiment(path) == exp
+
+    def test_record_off_the_grid_rejected(self, tmp_path):
+        doc = experiment_to_dict(small_experiment())
+        doc["callpaths"][0]["metrics"]["time_s"][-1]["coordinate"] = [3.0, 20.0]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="incomplete grid"):
+            load_experiment(path)
+
     def test_wrong_length_coordinate_rejected(self, tmp_path):
         doc = experiment_to_dict(small_experiment())
         doc["callpaths"][0]["metrics"]["time_s"][0]["coordinate"] = [2.0]
@@ -145,25 +165,28 @@ class TestRoundTrip:
             load_experiment(path)
 
 
+X_SPACE = ParameterSpace(("x",), ((2.0, 4.0),))
+
+
 class TestAggregate:
     def test_median_odd(self):
-        s = MetricSeries("time_s", {(2.0,): (3.0, 1.0, 2.0)})
-        assert aggregate(s) == {(2.0,): 2.0}
+        s = MetricSeries("time_s", [(3.0, 1.0, 2.0), (7.0, 7.0, 7.0)])
+        assert aggregate(X_SPACE, s) == {(2.0,): 2.0, (4.0,): 7.0}
 
     def test_singleton_all_stats(self):
-        s = MetricSeries("time_s", {(2.0,): (5.0,)})
-        assert aggregate(s) == {(2.0,): 5.0}
+        s = MetricSeries("time_s", [(5.0,), (6.0,)])
+        assert aggregate(X_SPACE, s) == {(2.0,): 5.0, (4.0,): 6.0}
 
     def test_median_even_is_mean_of_middles(self):
-        s = MetricSeries("time_s", {(2.0,): (1.0, 2.0, 3.0, 10.0)})
-        assert aggregate(s) == {(2.0,): 2.5}
+        s = MetricSeries("time_s", [(1.0, 2.0, 3.0, 10.0), (1.0, 1.0, 1.0, 1.0)])
+        assert aggregate(X_SPACE, s) == {(2.0,): 2.5, (4.0,): 1.0}
 
     def test_median_permutation_invariant(self):
         import itertools
 
         reps = (4.0, 1.0, 3.0, 2.0, 9.0)
         medians = {
-            aggregate(MetricSeries("time_s", {(2.0,): perm}))[(2.0,)]
+            aggregate(X_SPACE, MetricSeries("time_s", [perm, perm]))[(2.0,)]
             for perm in itertools.permutations(reps)
         }
         assert medians == {3.0}
@@ -178,7 +201,7 @@ class TestSubsetRepetitions:
         s = small_experiment().callpaths[0][1]["time_s"]
         sub = subset_repetitions(s, {2})
         assert sub.repetitions == 1
-        assert all(len(v) == 1 for v in sub.data.values())
+        assert sub.data.shape == (4, 1)
         assert sub.rep_ids == (2,)
 
     def test_all_nonempty_subsets_distinct(self):
@@ -201,7 +224,8 @@ class TestSubsetRepetitions:
     def test_preserves_grid(self):
         s = small_experiment().callpaths[0][1]["time_s"]
         sub = subset_repetitions(s, {0, 3})
-        assert set(sub.data) == set(s.data)
+        assert sub.data.shape[0] == s.data.shape[0]
+        assert (sub.data == s.data[:, [0, 3]]).all()
 
 
 class TestExperimentValidation:
@@ -212,21 +236,45 @@ class TestExperimentValidation:
 
     def test_series_must_cover_grid(self):
         space = ParameterSpace(("p",), ((2.0, 4.0),))
-        series = MetricSeries("time_s", {(2.0,): (1.0,)})
+        series = MetricSeries("time_s", [(1.0,)])
         with pytest.raises(ValidationError, match="incomplete grid"):
             ExperimentSet(space, ((CallPath("x", "computation"), {"time_s": series}),))
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_measurement_names_its_coordinate(self, value):
+        space = ParameterSpace(("p",), ((2.0, 4.0),))
+        series = MetricSeries("time_s", [(1.0, 1.0), (1.0, value)])
+        with pytest.raises(ValidationError, match=r"non-finite .* at \(4\.0,\)"):
+            ExperimentSet(space, ((CallPath("x", "computation"), {"time_s": series}),))
+
+    def test_series_is_read_only(self):
+        series = small_experiment().callpaths[0][1]["time_s"]
+        with pytest.raises(ValueError):
+            series.data[0, 0] = 0.0
+
     def test_time_metric_required(self):
         space = ParameterSpace(("p",), ((2.0, 4.0),))
-        bb = MetricSeries("basic_blocks", {(2.0,): (1.0,), (4.0,): (1.0,)})
+        bb = MetricSeries("basic_blocks", [(1.0,), (1.0,)])
         with pytest.raises(ValidationError, match="time_s"):
             ExperimentSet(
                 space, ((CallPath("x", "computation"), {"basic_blocks": bb}),)
             )
 
     def test_unequal_rep_lengths_rejected(self):
-        with pytest.raises(ValidationError, match="repetition"):
-            MetricSeries("time_s", {(2.0,): (1.0,), (4.0,): (1.0, 2.0)})
+        with pytest.raises(ValidationError, match="unequal repetition counts"):
+            MetricSeries("time_s", [(1.0,), (1.0, 2.0)])
+
+    def test_non_numeric_measurement_rejected(self):
+        with pytest.raises(ValidationError, match="a non-number"):
+            MetricSeries("time_s", [("fast",), (1.0,)])
+
+    def test_unequal_rep_lengths_in_file_rejected(self, tmp_path):
+        doc = experiment_to_dict(small_experiment())
+        doc["callpaths"][0]["metrics"]["time_s"][1]["repetitions"].pop()
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="unequal repetition counts"):
+            load_experiment(path)
 
 
 def test_default_space_values():

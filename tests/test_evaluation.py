@@ -1,6 +1,5 @@
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from conftest import fig2_spec, model_from_expos
@@ -17,7 +16,7 @@ from perfprior.evaluation import (
     relative_error,
     repetition_study,
 )
-from perfprior.pmnf import PmnfModel, Term
+from perfprior.pmnf import PmnfModel
 
 F = Fraction
 
@@ -320,6 +319,13 @@ class TestStudies:
                 trials=10**5, seed=4,
             )
         assert derived == [(4, 0, 0)]
+
+    def test_noise_study_needs_a_trial(self):
+        with pytest.raises(ValidationError, match="at least 1 trial"):
+            noise_robustness_study(
+                random_spec(1, 2, 1), intensities=[0.1], patterns=["uniform"],
+                trials=0,
+            )
 
     def test_table_serialization(self):
         table = noise_robustness_study(

@@ -197,8 +197,8 @@ class TestModelEffort:
     def test_zero_bytes_gives_zero_constant(self, pn_space):
         from perfprior.dataset import CallPath, ExperimentSet, MetricSeries
 
-        zeros = {c: (0.0,) for c in pn_space.grid()}
-        times = {c: (1.0,) for c in pn_space.grid()}
+        zeros = [(0.0,) for _ in pn_space.grid()]
+        times = [(1.0,) for _ in pn_space.grid()]
         exp = ExperimentSet(
             pn_space,
             (
@@ -218,8 +218,8 @@ class TestModelEffort:
     def test_quadratic_blocks(self, pn_space):
         from perfprior.dataset import CallPath, ExperimentSet, MetricSeries
 
-        bb = {c: (float(c[1]) ** 2 + c[1],) for c in pn_space.grid()}
-        times = {c: (1.0,) for c in pn_space.grid()}
+        bb = [(float(c[1]) ** 2 + c[1],) for c in pn_space.grid()]
+        times = [(1.0,) for _ in pn_space.grid()]
         exp = ExperimentSet(
             pn_space,
             (
@@ -238,7 +238,7 @@ class TestModelEffort:
     def test_missing_metric_names_callpath(self, pn_space):
         from perfprior.dataset import CallPath, ExperimentSet, MetricSeries
 
-        times = {c: (1.0,) for c in pn_space.grid()}
+        times = [(1.0,) for _ in pn_space.grid()]
         exp = ExperimentSet(
             pn_space,
             (
