@@ -25,7 +25,9 @@ Classes, each hashed over its documents in a fixed order:
   4 repetitions at baseline noise 0.5;
 - `study-reps-sampled/<pipeline>`: the same at 8 repetitions, where
   C(8, 4) = 70 subsets exceed `evaluation.MAX_SUBSETS`, so the k = 4 row
-  refits a seeded sample of them;
+  refits a seeded sample of them; every study command runs a second time
+  with `--jobs 2`, and the script exits with that command line when the
+  two outputs differ;
 - `truth`: every call path's ground-truth leading exponents
   (`truth_by_callpath`) and its noise-free runtime (`true_time`) at
   `next_test_point`, for `random_spec` seeds 0-119 at m = 1, 2, 3 with
@@ -117,22 +119,35 @@ def inject_digest(work: Path) -> str:
     return digest.hexdigest()
 
 
+def study_sha(out: Path, *argv) -> str:
+    """Run one study command at --jobs 1 and 2; the sha256 of its output,
+    which must not depend on the parallelism degree."""
+    outputs = []
+    for jobs in (1, 2):
+        run(*argv, "--jobs", jobs, "--out", out)
+        outputs.append(out.read_bytes())
+    if outputs[0] != outputs[1]:
+        sys.exit(f"perfprior {' '.join(map(str, argv))}: output differs "
+                 "between --jobs 1 and --jobs 2")
+    return hashlib.sha256(outputs[0]).hexdigest()
+
+
 def study_digests(work: Path) -> dict[str, str]:
     spec, out = work / "study_spec.json", work / "study.json"
     benchgen.save_spec(benchgen.random_spec(1, 2, 2), spec)
     digests = {}
     for p in PIPELINES:
         for pattern in PATTERNS:
-            run("study-noise", "--spec", spec, "--pipeline", p,
+            digests[f"study-noise/{p}/{pattern}"] = study_sha(
+                out, "study-noise", "--spec", spec, "--pipeline", p,
                 "--intensities", "10,75", "--patterns", pattern,
-                "--trials", 3, "--seed", 7, "--out", out)
-            digests[f"study-noise/{p}/{pattern}"] = (
-                hashlib.sha256(out.read_bytes()).hexdigest()
+                "--trials", 3, "--seed", 7,
             )
         for name, reps in (("study-reps", 4), ("study-reps-sampled", 8)):
-            run("study-reps", "--spec", spec, "--pipeline", p, "--reps", reps,
-                "--seed", 7, "--out", out)
-            digests[f"{name}/{p}"] = hashlib.sha256(out.read_bytes()).hexdigest()
+            digests[f"{name}/{p}"] = study_sha(
+                out, "study-reps", "--spec", spec, "--pipeline", p,
+                "--reps", reps, "--seed", 7,
+            )
     return digests
 
 

@@ -9,7 +9,9 @@ A study takes a benchmark spec. It simulates the spec's measurements
 once, refits them on every seeded noise-injection or repetition-subset
 trial, and averages both metrics per row: ED against the spec's
 ground-truth exponents, RE against its noise-free runtime at the test
-point. SWC counts MPI ranks on the spec's ranks parameter.
+point. SWC counts MPI ranks on the spec's ranks parameter. Trials change
+only runtimes, never effort metrics, so SWC derives each call path's prior
+once per study and refits only the runtimes per trial.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from . import benchgen
 from .dataset import Coordinate, ExperimentSet, ParameterSpace, subset_repetitions
 from .errors import IrregularSpacingError, ValidationError
 from .noise import NoiseConfig, NoisePattern, inject
-from .pipelines import run_pipeline
+from .pipelines import fit_models, model_structures
+from .pipelines import run_pipeline  # noqa: F401  (perfbench traces this name)
 from .pmnf import Expo, PmnfModel, evaluate, leading_exponents
 
 STUDY_FORMAT_VERSION = 1
@@ -172,11 +175,11 @@ def _derived_seed(seed: int, *path: int) -> int:
 
 def _run_cell(context: tuple, cell: tuple) -> StudyRow:
     """Fit one row's trials: make_trial(exp, key) builds each trial's data."""
-    exp, pipeline, ranks_param, truth, test_point, reference = context
+    exp, structures, truth, test_point, reference = context
     level, pattern, make_trial, keys = cell
     eds, res = [], []
     for key in keys:
-        models = run_pipeline(pipeline, make_trial(exp, key), ranks_param)
+        models = fit_models(make_trial(exp, key), structures)
         ed, re = _trial_metrics(models, truth, test_point, reference)
         eds.append(ed)
         res.append(re)
@@ -195,15 +198,16 @@ def _run_study(
     study: str, spec: benchgen.BenchmarkSpec, pipeline: str, reps: int,
     baseline_noise: float, seed: int, cells: list[tuple], jobs: int,
 ) -> StudyTable:
-    """Simulate the spec once and fit one row per (level, pattern,
-    make_trial, keys) cell, in a process pool when jobs > 1 (same rows in
-    the same order)."""
+    """Simulate the spec and fix each call path's structure once, then fit
+    one row per (level, pattern, make_trial, keys) cell, in a process pool
+    when jobs > 1 (same rows in the same order)."""
     exp = benchgen.simulate_measurements(spec, reps, baseline_noise, seed)
+    structures = model_structures(pipeline, exp, spec.ranks_param)
     truth = benchgen.truth_by_callpath(spec)
     test_point = next_test_point(spec.space)
     reference = {name: benchgen.true_time(spec, name, test_point) for name in truth}
     run_cell = functools.partial(
-        _run_cell, (exp, pipeline, spec.ranks_param, truth, test_point, reference)
+        _run_cell, (exp, structures, truth, test_point, reference)
     )
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -146,25 +146,37 @@ def model_effort(exp: ExperimentSet, callpath: str, metric: str) -> PmnfModel:
     return search(aggregate(exp.space, metrics[metric]), exp.space)
 
 
-def build_swc_model(
+def swc_prior(
     exp: ExperimentSet, callpath: str, ranks_param: str | None = None
-) -> PmnfModel:
-    """Software-counter-based model: effort-derived prior fitted to time.
+) -> Skeleton:
+    """The call path's SWC structure: its effort model turned into a prior.
 
-    The prior fixes the structure; time measurements only set coefficients,
-    so the leading exponents are invariant under any change of the time
-    metric. ranks_param defaults to the first space parameter.
+    Only effort metrics feed it, so one prior serves every experiment that
+    differs only in its runtimes. ranks_param defaults to the first space
+    parameter.
     """
-    cp, metrics = exp.callpath(callpath)
+    cp, _ = exp.callpath(callpath)
     if ranks_param is None:
         ranks_param = exp.space.names[0]
     effort_model = model_effort(exp, callpath, EFFORT_METRIC[cp.kind])
     if cp.kind == KIND_COMPUTATION:
-        skeleton = derive_computation_prior(effort_model)
-    else:
-        skeleton = derive_communication_prior(cp.mpi_op, effort_model, ranks_param)
-    if METRIC_TIME not in metrics:
-        raise ModelingError(f"call path {callpath!r} lacks metric {METRIC_TIME!r}")
-    time_data = aggregate(exp.space, metrics[METRIC_TIME])
-    return fit_skeleton_to_time(skeleton, time_data)
+        return derive_computation_prior(effort_model)
+    return derive_communication_prior(cp.mpi_op, effort_model, ranks_param)
 
+
+def fit_prior(prior: Skeleton, exp: ExperimentSet, callpath: str) -> PmnfModel:
+    """Bind the prior's coefficients to the call path's median runtimes.
+
+    The prior fixes the structure; time measurements only set coefficients,
+    so the leading exponents are invariant under any change of the time
+    metric.
+    """
+    _, metrics = exp.callpath(callpath)
+    return fit_skeleton_to_time(prior, aggregate(exp.space, metrics[METRIC_TIME]))
+
+
+def build_swc_model(
+    exp: ExperimentSet, callpath: str, ranks_param: str | None = None
+) -> PmnfModel:
+    """Software-counter-based model: effort-derived prior fitted to time."""
+    return fit_prior(swc_prior(exp, callpath, ranks_param), exp, callpath)

@@ -3,10 +3,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import fig2_spec, model_from_expos
-from perfprior import evaluation
-from perfprior.benchgen import random_spec
+from perfprior import evaluation, priors
+from perfprior.benchgen import random_spec, simulate_measurements
 from perfprior.dataset import ParameterSpace
-from perfprior.errors import IrregularSpacingError, ValidationError
+from perfprior.errors import IrregularSpacingError, ModelingError, ValidationError
 from perfprior.evaluation import (
     cost_report,
     deviation_from_truth,
@@ -16,7 +16,9 @@ from perfprior.evaluation import (
     relative_error,
     repetition_study,
 )
+from perfprior.pipelines import run_pipeline
 from perfprior.pmnf import PmnfModel
+from study_oracle import per_trial_noise_study, per_trial_repetition_study
 
 F = Fraction
 
@@ -281,21 +283,25 @@ class TestStudies:
         assert unstable >= total - 1
 
     @pytest.mark.parametrize(
-        "study, options",
+        "study, options, pipeline",
         [
-            (
-                noise_robustness_study,
-                dict(intensities=[0.1, 0.5], patterns=["uniform"], trials=2,
-                     seed=9),
-            ),
-            # baseline noise makes every repetition subset a different fit
-            (repetition_study, dict(baseline_noise=0.5, seed=0)),
+            (study, options, pipeline)
+            for pipeline in ("classic", "swc")
+            for study, options in (
+                (
+                    noise_robustness_study,
+                    dict(intensities=[0.1, 0.5], patterns=["uniform"],
+                         trials=2, seed=9),
+                ),
+                # baseline noise makes every repetition subset a different fit
+                (repetition_study, dict(baseline_noise=0.5, seed=0)),
+            )
         ],
-        ids=["noise", "reps"],
+        ids=["noise", "reps", "noise-swc", "reps-swc"],
     )
-    def test_parallel_equals_sequential(self, study, options):
+    def test_parallel_equals_sequential(self, study, options, pipeline):
         spec = random_spec(13, 2, 1)
-        kwargs = dict(pipeline="classic", reps=3, **options)
+        kwargs = dict(pipeline=pipeline, reps=3, **options)
         seq = study(spec, **kwargs, jobs=1)
         par = study(spec, **kwargs, jobs=2)
         assert seq == par
@@ -312,13 +318,72 @@ class TestStudies:
             raise RuntimeError("first fit")
 
         monkeypatch.setattr(evaluation, "_derived_seed", counted)
-        monkeypatch.setattr(evaluation, "run_pipeline", first_fit)
-        with pytest.raises(RuntimeError, match="first fit"):
-            noise_robustness_study(
-                random_spec(3, 2, 1), intensities=[0.1], patterns=["uniform"],
-                trials=10**5, seed=4,
-            )
-        assert derived == [(4, 0, 0)]
+        monkeypatch.setattr(evaluation, "fit_models", first_fit)
+        for pipeline in ("classic", "swc"):
+            derived.clear()
+            with pytest.raises(RuntimeError, match="first fit"):
+                noise_robustness_study(
+                    random_spec(3, 2, 1), intensities=[0.1],
+                    patterns=["uniform"], trials=10**5, pipeline=pipeline,
+                    seed=4,
+                )
+            assert derived == [(4, 0, 0)]
+
+    @pytest.mark.parametrize("pipeline", ["classic", "swc"])
+    @pytest.mark.parametrize(
+        "engine, oracle, options",
+        [
+            (
+                noise_robustness_study, per_trial_noise_study,
+                dict(intensities=[0.1, 0.75],
+                     patterns=["uniform", "scaled_exponential"], trials=2,
+                     baseline_noise=0.5, seed=3),
+            ),
+            # C(8, 4) = 70 > MAX_SUBSETS: the k = 4 row refits a seeded sample
+            (
+                repetition_study, per_trial_repetition_study,
+                dict(reps=8, baseline_noise=0.5, seed=3),
+            ),
+        ],
+        ids=["noise", "reps8"],
+    )
+    def test_engine_equals_per_trial_oracle(self, engine, oracle, options, pipeline):
+        spec = random_spec(17, 2, 1)
+        expected = oracle(spec, pipeline=pipeline, **options)
+        for jobs in (1, 2):
+            assert engine(spec, pipeline=pipeline, jobs=jobs, **options) == expected
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "study, options",
+        [
+            (noise_robustness_study,
+             dict(intensities=[0.1], patterns=["uniform"], trials=2)),
+            (repetition_study, dict()),
+        ],
+        ids=["noise", "reps"],
+    )
+    def test_swc_prior_failure_raises_before_any_trial(
+        self, monkeypatch, study, options, jobs
+    ):
+        def no_effort_model(data, space):
+            raise ModelingError("no effort model")
+
+        def trials_started(*args):
+            raise AssertionError("the study started its trials")
+
+        spec = random_spec(3, 2, 1)
+        monkeypatch.setattr(priors, "search", no_effort_model)
+        with pytest.raises(ModelingError) as expected:
+            run_pipeline("swc", simulate_measurements(spec, 5), spec.ranks_param)
+        assert str(expected.value) == (
+            "SWC modeling failed for 'k00/compute': no effort model"
+        )
+        monkeypatch.setattr(evaluation, "fit_models", trials_started)
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", trials_started)
+        with pytest.raises(ModelingError) as raised:
+            study(spec, pipeline="swc", jobs=jobs, **options)
+        assert str(raised.value) == str(expected.value)
 
     def test_noise_study_needs_a_trial(self):
         with pytest.raises(ValidationError, match="at least 1 trial"):
