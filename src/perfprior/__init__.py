@@ -30,7 +30,6 @@ from .pmnf import (
     render,
 )
 from .modeler import (
-    cv_score,
     fit_coefficients,
     fit_skeleton_to_time,
     search,
@@ -56,7 +55,6 @@ from .evaluation import (
     StudyTable,
     cost_report,
     deviation_from_truth,
-    exponent_deviation,
     next_test_point,
     noise_robustness_study,
     relative_error,

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -296,41 +296,13 @@ def random_spec(seed: int, m: int, n_kernels: int = 1) -> BenchmarkSpec:
 
 
 def _callpaths(
-    spec: BenchmarkSpec, kernel: KernelSpec
-) -> list[tuple[CallPath, list[tuple[Expo, ...]]]]:
-    """Each call path the kernel produces, in simulation order, with the
-    exponents of its ground-truth terms: the loop terms of the computation,
-    and the log2(p) latency and payload terms of the MPI operation."""
-    comp = [t.exponents for t, _ in kernel.computation_terms]
-    out = [(CallPath(f"{kernel.name}/compute", KIND_COMPUTATION), comp)]
-    op = kernel.mpi_op
-    if op is not None:
-        comm = []
-        if has_factor(op, LOG_P):
-            log_exps: list[Expo] = [(Fraction(0), 0)] * spec.space.m
-            log_exps[spec.space.names.index(spec.ranks_param)] = (Fraction(0), 1)
-            comm.append(tuple(log_exps))
-        if kernel.message_elems_term is not None:
-            comm.append(kernel.message_elems_term.exponents)
-        cp = CallPath(f"{kernel.name}/{op.value}", KIND_COMMUNICATION, op)
-        out.append((cp, comm))
-    return out
-
-
-def truth_by_callpath(spec: BenchmarkSpec) -> dict[str, dict[str, Expo]]:
-    """Ground-truth leading exponents keyed by simulated call-path name."""
-    return {
-        cp.name: dict(zip(spec.space.names, leading_from_terms(terms, spec.space.m)))
-        for kernel in spec.kernels
-        for cp, terms in _callpaths(spec, kernel)
-    }
-
-
-def _kernel_signals(
     spec: BenchmarkSpec, kernel: KernelSpec, coords: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Exact per-coordinate (runtime, effort) of each of the kernel's call
-    paths, in `_callpaths` order (no repetition noise)."""
+) -> Iterator[tuple[CallPath, list, np.ndarray, np.ndarray]]:
+    """Yield each call path the kernel produces, in simulation order, as
+    (call path, exponents of its ground-truth terms, runtime, effort), with
+    the exact per-coordinate runtime and effort on coords (no repetition
+    noise). The truth terms are the loop terms of the computation, and the
+    payload and log2(p) latency terms of the MPI operation."""
     logs = np.log2(coords)
     bb = np.zeros(coords.shape[0])
     time_comp = np.zeros(coords.shape[0])
@@ -338,29 +310,47 @@ def _kernel_signals(
         values = monomial_values(term.exponents, coords, logs)
         bb += np.rint(values) * kernel.bb_per_iteration
         time_comp += coeff * values
-    out = [(time_comp, bb)]
+    comp = [t.exponents for t, _ in kernel.computation_terms]
+    yield CallPath(f"{kernel.name}/compute", KIND_COMPUTATION), comp, time_comp, bb
     op = kernel.mpi_op
-    if op is not None:
-        p = coords[:, spec.space.names.index(spec.ranks_param)]
-        if kernel.message_elems_term is None:
-            payload = np.zeros(coords.shape[0])
+    if op is None:
+        return
+    ranks_axis = spec.space.names.index(spec.ranks_param)
+    p = coords[:, ranks_axis]
+    terms = []
+    if kernel.message_elems_term is None:
+        payload = np.zeros(coords.shape[0])
+    else:
+        terms.append(kernel.message_elems_term.exponents)
+        elems = np.rint(
+            kernel.message_elems_base
+            * monomial_values(kernel.message_elems_term.exponents, coords, logs)
+        )
+        payload = float(kernel.elem_size) * elems
+    time_comm = 0.0 if has_factor(op, LOG_P) else kernel.true_alpha
+    for factor, label in COST_FORMS[op]:
+        c = getattr(kernel, f"true_{label}")  # beta -> true_beta
+        if factor == LOG_P:
+            log_exps: list[Expo] = [(Fraction(0), 0)] * spec.space.m
+            log_exps[ranks_axis] = (Fraction(0), 1)
+            terms.append(tuple(log_exps))
+            time_comm = time_comm + c * np.log2(p)
+        elif factor == B:
+            time_comm = time_comm + c * payload
         else:
-            elems = np.rint(
-                kernel.message_elems_base
-                * monomial_values(kernel.message_elems_term.exponents, coords, logs)
-            )
-            payload = float(kernel.elem_size) * elems
-        time_comm = 0.0 if has_factor(op, LOG_P) else kernel.true_alpha
-        for factor, label in COST_FORMS[op]:
-            c = getattr(kernel, f"true_{label}")  # beta -> true_beta
-            if factor == LOG_P:
-                time_comm = time_comm + c * np.log2(p)
-            elif factor == B:
-                time_comm = time_comm + c * payload
-            else:
-                time_comm = time_comm + c * payload * (p - 1.0) / p
-        out.append((time_comm, payload))
-    return out
+            time_comm = time_comm + c * payload * (p - 1.0) / p
+    cp = CallPath(f"{kernel.name}/{op.value}", KIND_COMMUNICATION, op)
+    yield cp, terms, time_comm, payload
+
+
+def truth_by_callpath(spec: BenchmarkSpec) -> dict[str, dict[str, Expo]]:
+    """Ground-truth leading exponents keyed by simulated call-path name."""
+    grid = np.array(spec.space.grid())
+    return {
+        cp.name: dict(zip(spec.space.names, leading_from_terms(terms, spec.space.m)))
+        for kernel in spec.kernels
+        for cp, terms, _, _ in _callpaths(spec, kernel, grid)
+    }
 
 
 def simulate_measurements(
@@ -384,8 +374,7 @@ def simulate_measurements(
     coords = np.array(spec.space.grid())
     callpaths = []
     for kernel in spec.kernels:
-        signals = _kernel_signals(spec, kernel, coords)
-        for (cp, _), (runtime, effort) in zip(_callpaths(spec, kernel), signals):
+        for cp, _, runtime, effort in _callpaths(spec, kernel, coords):
             exact = {METRIC_TIME: runtime, EFFORT_METRIC[cp.kind]: effort}
             callpaths.append((cp, {
                 m: MetricSeries(m, np.repeat(v[:, None], reps, axis=1))
@@ -400,8 +389,7 @@ def true_time(spec: BenchmarkSpec, callpath: str, coordinate: Coordinate) -> flo
     """Noise-free runtime of one call path at any coordinate."""
     coords = np.array([coordinate], dtype=float)
     for kernel in spec.kernels:
-        signals = _kernel_signals(spec, kernel, coords)
-        for (cp, _), (runtime, _) in zip(_callpaths(spec, kernel), signals):
+        for cp, _, runtime, _ in _callpaths(spec, kernel, coords):
             if cp.name == callpath:
                 return float(runtime[0])
     raise KeyError(f"no call path named {callpath!r} in spec")

@@ -340,6 +340,7 @@ def experiment_from_dict(doc) -> ExperimentSet:
         raise ParseError(f"unsupported format_version {doc['format_version']!r}")
     space = space_from_dict(doc["parameters"])
     grid = space.grid()
+    on_grid = set(grid)
     callpaths = []
     for c in require_list(doc["callpaths"], "callpaths"):
         require_keys(c, "callpath", ["name", "kind", "metrics"], ["mpi_op"])
@@ -365,11 +366,13 @@ def experiment_from_dict(doc) -> ExperimentSet:
                 raise ValidationError(
                     f"coordinate length mismatch for {where}: expected {space.m} values"
                 )
-            if data.keys() != set(grid):
-                raise ValidationError(
-                    f"incomplete grid for {where}: "
-                    f"{len(data)} of {len(grid)} coordinates"
+            off = [c for c in data if c not in on_grid]
+            missing = [c for c in grid if c not in data]
+            if off or missing:
+                what = (
+                    f"{off[0]} is off the grid" if off else f"no record at {missing[0]}"
                 )
+                raise ValidationError(f"incomplete grid for {where}: {what}")
             metrics[metric] = MetricSeries(metric, [data[c] for c in grid])
         callpaths.append((cp, metrics))
     return ExperimentSet(space, tuple(callpaths))

@@ -20,7 +20,7 @@ import functools
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -53,13 +53,6 @@ def deviation_from_truth(
         true_i = Fraction(truth[name][0]) if name in truth else Fraction(0)
         deviations[name] = abs(lead[name][0] - true_i)
     return deviations
-
-
-def exponent_deviation(m1: PmnfModel, m2: PmnfModel) -> dict[str, Fraction]:
-    """Per-parameter |i1* - i2*| of the leading exponents (logs count 0)."""
-    if m1.space_names != m2.space_names:
-        raise ValidationError("models live in different parameter spaces")
-    return deviation_from_truth(m1, leading_exponents(m2))
 
 
 def relative_error(model: PmnfModel, test: Coordinate, measured: float) -> float:
@@ -123,18 +116,7 @@ class StudyTable:
             "format_version": STUDY_FORMAT_VERSION,
             "study": self.study,
             "pipeline": self.pipeline,
-            "rows": [
-                {
-                    "level": r.level,
-                    "pattern": r.pattern,
-                    "mean_ed": r.mean_ed,
-                    "std_ed": r.std_ed,
-                    "mean_re_pct": r.mean_re_pct,
-                    "std_re_pct": r.std_re_pct,
-                    "trials": r.trials,
-                }
-                for r in self.rows
-            ],
+            "rows": [asdict(r) for r in self.rows],
         }
 
     def render_text(self) -> str:

@@ -86,17 +86,6 @@ def fit_coefficients(
     return tuple(float(c) for c in coef), rss
 
 
-def cv_score(skel: Skeleton, data: Mapping[Coordinate, float]) -> float:
-    """Leave-one-out mean symmetric relative error, in [0, 1]."""
-    if len(data) < skel.size + 1:
-        raise InsufficientDataError(
-            f"{len(data)} points are too few to cross-validate {skel.size} bases"
-        )
-    coords, y = _ordered(data)
-    a = design_matrix(skel, coords)
-    return float(_core.loo_cv_batch(a[None], y)[0])
-
-
 @functools.lru_cache(maxsize=64)
 def single_param_hypotheses(param: str) -> tuple[Skeleton, ...]:
     """The constant plus one skeleton {1, x^i log2^j(x)} per (i, j) != (0, 0).
@@ -208,8 +197,7 @@ def search(data: Mapping[Coordinate, float], space: ParameterSpace) -> PmnfModel
     candidates = _candidates(space, best_terms)
     scores = _loo_scores(np.array(grid, dtype=float), candidates, [y])[:, 0]
     winner, _ = _select(candidates, scores, [_skeleton_key(c) for c in candidates])
-    coef, _ = fit_coefficients(winner, data)
-    return model_from_skeleton(winner, coef)
+    return fit_skeleton_to_time(winner, data)
 
 
 def fit_skeleton_to_time(

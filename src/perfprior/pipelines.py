@@ -15,11 +15,11 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Mapping
 
+from . import priors
 from .dataset import METRIC_TIME, ExperimentSet, aggregate
 from .errors import InsufficientDataError, ModelingError, PerfPriorError
 from .modeler import search
 from .pmnf import PmnfModel, Skeleton
-from .priors import fit_prior, swc_prior
 from .priors import build_swc_model  # noqa: F401  (perfbench traces this name)
 
 PIPELINES = ("classic", "swc")
@@ -46,24 +46,27 @@ def model_structures(
     structures: dict[str, Skeleton | None] = {}
     for cp, _ in exp.callpaths:
         with _modeling_failure("SWC", cp.name):
-            structures[cp.name] = swc_prior(exp, cp.name, ranks_param)
+            structures[cp.name] = priors.swc_prior(exp, cp.name, ranks_param)
     return structures
 
 
 def fit_models(
     exp: ExperimentSet, structures: Mapping[str, Skeleton | None]
 ) -> dict[str, PmnfModel]:
-    """One model per call path, in the experiment's call-path order: a
-    search where the structure is None, the prior's coefficients otherwise."""
+    """One model per call path, in the experiment's call-path order, from
+    its median runtimes: a search where the structure is None, the prior's
+    coefficients otherwise. The prior fixes the structure, so the leading
+    exponents of an SWC model do not depend on the runtimes."""
     models = {}
     for cp, metrics in exp.callpaths:
         prior = structures[cp.name]
         with _modeling_failure("classic" if prior is None else "SWC", cp.name):
-            if prior is None:
-                time_data = aggregate(exp.space, metrics[METRIC_TIME])
-                models[cp.name] = search(time_data, exp.space)
-            else:
-                models[cp.name] = fit_prior(prior, exp, cp.name)
+            time_data = aggregate(exp.space, metrics[METRIC_TIME])
+            models[cp.name] = (
+                search(time_data, exp.space)
+                if prior is None
+                else priors.fit_skeleton_to_time(prior, time_data)
+            )
     return models
 
 

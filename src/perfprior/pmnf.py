@@ -79,6 +79,23 @@ def exponent_signature(
     return (total_i, total_j, tuple(exponents), ranks_fraction or "")
 
 
+def _check_factors(
+    parts: Sequence, names: Sequence[str], kind: str, duplicate: str
+) -> None:
+    """Check terms or bases against the parameter names: one exponent pair
+    per parameter, ranks fractions on named parameters, no structure twice."""
+    for part in parts:
+        if len(part.exponents) != len(names):
+            raise ValidationError(f"{kind} exponent count does not match parameters")
+        if part.ranks_fraction is not None and part.ranks_fraction not in names:
+            raise ValidationError(
+                f"ranks fraction parameter {part.ranks_fraction!r} not in space"
+            )
+    sigs = [part.signature() for part in parts]
+    if len(set(sigs)) != len(sigs):
+        raise ValidationError(duplicate)
+
+
 @dataclass(frozen=True)
 class Term:
     """One model term: coefficient times a product of parameter factors."""
@@ -111,16 +128,9 @@ class PmnfModel:
         object.__setattr__(self, "constant", float(self.constant))
         if not self.space_names:
             raise ValidationError("model needs at least one parameter name")
-        for t in self.terms:
-            if len(t.exponents) != len(self.space_names):
-                raise ValidationError("term exponent count does not match parameters")
-            if t.ranks_fraction is not None and t.ranks_fraction not in self.space_names:
-                raise ValidationError(
-                    f"ranks fraction parameter {t.ranks_fraction!r} not in space"
-                )
-        sigs = [t.signature() for t in self.terms]
-        if len(set(sigs)) != len(sigs):
-            raise ValidationError("duplicate term structure in model")
+        _check_factors(
+            self.terms, self.space_names, "term", "duplicate term structure in model"
+        )
 
 
 @dataclass(frozen=True)
@@ -171,16 +181,9 @@ class Skeleton:
         n_const = sum(1 for b in self.bases if b.is_constant)
         if n_const != 1:
             raise ValidationError("constant basis must appear exactly once")
-        for b in self.bases:
-            if len(b.exponents) != len(self.space_names):
-                raise ValidationError("basis exponent count does not match parameters")
-            if b.ranks_fraction is not None and b.ranks_fraction not in self.space_names:
-                raise ValidationError(
-                    f"ranks fraction parameter {b.ranks_fraction!r} not in space"
-                )
-        sigs = [b.signature() for b in self.bases]
-        if len(set(sigs)) != len(sigs):
-            raise ValidationError("duplicate basis function in skeleton")
+        _check_factors(
+            self.bases, self.space_names, "basis", "duplicate basis function in skeleton"
+        )
 
     @property
     def size(self) -> int:

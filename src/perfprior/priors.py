@@ -164,19 +164,10 @@ def swc_prior(
     return derive_communication_prior(cp.mpi_op, effort_model, ranks_param)
 
 
-def fit_prior(prior: Skeleton, exp: ExperimentSet, callpath: str) -> PmnfModel:
-    """Bind the prior's coefficients to the call path's median runtimes.
-
-    The prior fixes the structure; time measurements only set coefficients,
-    so the leading exponents are invariant under any change of the time
-    metric.
-    """
-    _, metrics = exp.callpath(callpath)
-    return fit_skeleton_to_time(prior, aggregate(exp.space, metrics[METRIC_TIME]))
-
-
 def build_swc_model(
     exp: ExperimentSet, callpath: str, ranks_param: str | None = None
 ) -> PmnfModel:
     """Software-counter-based model: effort-derived prior fitted to time."""
-    return fit_prior(swc_prior(exp, callpath, ranks_param), exp, callpath)
+    prior = swc_prior(exp, callpath, ranks_param)
+    _, metrics = exp.callpath(callpath)
+    return fit_skeleton_to_time(prior, aggregate(exp.space, metrics[METRIC_TIME]))

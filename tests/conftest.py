@@ -9,7 +9,9 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from perfprior.benchgen import BenchmarkSpec, ComplexityTerm, KernelSpec
 from perfprior.dataset import MpiOp, ParameterSpace
-from perfprior.pmnf import PmnfModel, Term
+from perfprior.errors import ValidationError
+from perfprior.evaluation import deviation_from_truth
+from perfprior.pmnf import PmnfModel, Term, leading_exponents
 
 # At collection, hypothesis's pytest plugin caches constants of the source
 # modules under its home directory, ./.hypothesis by default, whatever a
@@ -61,6 +63,13 @@ def model_from_expos(names, *term_expos) -> PmnfModel:
         )
         terms.append(Term(1.0, pairs))
     return PmnfModel(0.0, tuple(terms), tuple(names))
+
+
+def exponent_deviation(m1: PmnfModel, m2: PmnfModel) -> dict[str, Fraction]:
+    """Per-parameter |i1* - i2*| of the leading exponents (logs count 0)."""
+    if m1.space_names != m2.space_names:
+        raise ValidationError("models live in different parameter spaces")
+    return deviation_from_truth(m1, leading_exponents(m2))
 
 
 @pytest.fixture

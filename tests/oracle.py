@@ -6,6 +6,9 @@ refit with a plain SVD solve, and the family is enumerated from the
 exponent sets directly. Scores below the search's SCORE_FLOOR count as
 exact fits, and ties break on the same structural order, so both pick the
 same skeleton.
+
+`cv_score` is the other way round: one skeleton's score from the search's
+own batched LOO kernel, for tests that check a single hypothesis.
 """
 
 import itertools
@@ -15,14 +18,34 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from perfprior import _core
 from perfprior.dataset import Coordinate, ParameterSpace
-from perfprior.errors import ValidationError
+from perfprior.errors import InsufficientDataError, ValidationError
 from perfprior.modeler import SCORE_FLOOR
-from perfprior.pmnf import Expo, PmnfModel, Term, default_exponent_sets
+from perfprior.pmnf import (
+    Expo,
+    PmnfModel,
+    Skeleton,
+    Term,
+    default_exponent_sets,
+    design_matrix,
+)
 
 
 def _snap(score: float) -> float:
     return 0.0 if score < SCORE_FLOOR else float(score)
+
+
+def cv_score(skel: Skeleton, data: Mapping[Coordinate, float]) -> float:
+    """Leave-one-out mean symmetric relative error, in [0, 1]."""
+    if len(data) < skel.size + 1:
+        raise InsufficientDataError(
+            f"{len(data)} points are too few to cross-validate {skel.size} bases"
+        )
+    coords = sorted(data)
+    a = design_matrix(skel, np.array(coords, dtype=float))
+    y = np.array([data[c] for c in coords], dtype=float)
+    return float(_core.loo_cv_batch(a[None], y)[0])
 
 
 def _oracle_basis_value(exps: Sequence[Expo], coord: Coordinate) -> float:

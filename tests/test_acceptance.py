@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 import perfprior
-from conftest import model_from_expos
-from oracle import exhaustive_oracle
+from conftest import exponent_deviation, model_from_expos
+from oracle import cv_score, exhaustive_oracle
 from perfprior.benchgen import (
     random_spec,
     simulate_measurements,
@@ -27,12 +27,11 @@ from perfprior.dataset import MpiOp, ParameterSpace
 from perfprior.evaluation import (
     cost_report,
     deviation_from_truth,
-    exponent_deviation,
     next_test_point,
     noise_robustness_study,
     repetition_study,
 )
-from perfprior.modeler import cv_score, search
+from perfprior.modeler import search
 from perfprior.pipelines import run_pipeline
 from perfprior.pmnf import (
     BasisFunction,

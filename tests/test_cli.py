@@ -448,7 +448,8 @@ DELETE = object()
 
 
 def _mutated(doc, path, value):
-    """Copy of doc with the node at path deleted or replaced by value."""
+    """Copy of doc with the node at path deleted or replaced by value; an
+    index one past the end of a list appends value."""
     if not path:
         return value
     doc = copy.deepcopy(doc)
@@ -457,6 +458,8 @@ def _mutated(doc, path, value):
         parent = parent[key]
     if value is DELETE:
         del parent[path[-1]]
+    elif isinstance(parent, list) and path[-1] == len(parent):
+        parent.append(value)
     else:
         parent[path[-1]] = value
     return doc
@@ -528,13 +531,18 @@ class TestMalformedDocuments:
             (FIRST_TIME + ("coordinate", 0), "128", "could not convert"),
             (("parameters", 0, "values", 0), False, "could not convert"),
             (("format_version",), True, "could not convert"),
+            (
+                ("callpaths", 0, "metrics", "time_s", 25),
+                {"coordinate": [4096.0, 8000.0], "repetitions": [1.0]},
+                "incomplete grid for 'k00/compute'/time_s: (4096.0, 8000.0) is off",
+            ),
         ],
         ids=[
             "parameters-number", "string-repetition", "callpaths-object",
             "metrics-list", "numeric-callpath-name", "one-value-coordinate",
             "top-level-list", "numeric-string-repetition", "boolean-repetition",
             "numeric-string-coordinate", "boolean-parameter-value",
-            "boolean-format-version",
+            "boolean-format-version", "extra-record",
         ],
     )
     def test_experiment(self, experiment_file, tmp_path, capsys, path, value, message):

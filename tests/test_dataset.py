@@ -105,7 +105,9 @@ class TestRoundTrip:
         del doc["callpaths"][0]["metrics"]["time_s"][-1]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError, match="incomplete grid"):
+        with pytest.raises(
+            ValidationError, match=r"incomplete grid .*no record at \(4\.0, 20\.0\)"
+        ):
             load_experiment(path)
 
     def test_records_in_reverse_order_load_equal(self, tmp_path):
@@ -125,7 +127,20 @@ class TestRoundTrip:
         doc["callpaths"][0]["metrics"]["time_s"][-1]["coordinate"] = [3.0, 20.0]
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValidationError, match="incomplete grid"):
+        with pytest.raises(
+            ValidationError, match=r"incomplete grid .*\(3\.0, 20\.0\) is off the grid"
+        ):
+            load_experiment(path)
+
+    def test_extra_record_rejected(self, tmp_path):
+        doc = experiment_to_dict(small_experiment())
+        extra = {"coordinate": [8.0, 10.0], "repetitions": [1.0]}
+        doc["callpaths"][0]["metrics"]["time_s"].append(extra)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(
+            ValidationError, match=r"incomplete grid .*\(8\.0, 10\.0\) is off the grid"
+        ):
             load_experiment(path)
 
     def test_wrong_length_coordinate_rejected(self, tmp_path):

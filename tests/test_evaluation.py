@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import fig2_spec, model_from_expos
+from conftest import exponent_deviation, fig2_spec, model_from_expos
 from perfprior import evaluation, priors
 from perfprior.benchgen import random_spec, simulate_measurements
 from perfprior.dataset import ParameterSpace
@@ -10,7 +10,6 @@ from perfprior.errors import IrregularSpacingError, ModelingError, ValidationErr
 from perfprior.evaluation import (
     cost_report,
     deviation_from_truth,
-    exponent_deviation,
     next_test_point,
     noise_robustness_study,
     relative_error,

@@ -3,11 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracle import exhaustive_oracle
+from oracle import cv_score, exhaustive_oracle
 from perfprior.dataset import ParameterSpace
 from perfprior.errors import InsufficientDataError, ValidationError
 from perfprior.modeler import (
-    cv_score,
     fit_coefficients,
     fit_skeleton_to_time,
     search,
