@@ -3,19 +3,21 @@
 Selection uses leave-one-out cross-validation with the symmetric relative
 error |pred - y| / (|y| + |pred|), which is scale-free and bounded by 1
 across the many orders of magnitude spanned by time and count metrics.
-Scores below SCORE_FLOOR are treated as exact fits, so the choice among
-indistinguishable exact fits rests on the structural tie-break alone:
-(basis count, sum of monomial exponents, sum of log exponents,
-lexicographic signature). The same floor and order apply in the tests'
-independent oracle (tests/oracle.py), which makes selection deterministic
-end to end.
 
-The search is hierarchical for every parameter count m = 1, 2, 3: a
-consensus single-parameter term per parameter (minimal mean score across
-the grid lines along its axis), then an enumeration of candidate
-skeletons whose non-constant bases are products of the best terms over
-non-empty parameter subsets, capped at m + 1 bases. At m = 1 the axis has
-one line, the whole data, and the candidates are {1} and {1, best term}.
+Both stages of the search select by one rule (`_best`): scores below
+SCORE_FLOOR count as exact fits (0), per line and again after averaging
+over lines, and the tie among the hypotheses at the least mean goes to
+the structurally simplest: (basis count, sum of monomial exponents, sum
+of log exponents, lexicographic signature). The tests' independent
+oracle (tests/oracle.py) applies the same floor and order.
+
+The search is hierarchical for every parameter count m = 1, 2, 3: one
+single-parameter term per parameter, scored on the grid lines along its
+axis, then candidate skeletons whose non-constant bases are products of
+those terms over non-empty parameter subsets, capped at m + 1 bases. At
+m = 1 the axis has one line, the whole data, and the candidates are {1}
+and {1, best term}. Every parameter needs at least 3 values: with 2,
+every leave-one-out fold of a two-basis line is underdetermined.
 """
 
 from __future__ import annotations
@@ -42,10 +44,6 @@ from .pmnf import (
 )
 
 SCORE_FLOOR = 1e-12
-
-
-def _snap(score: float) -> float:
-    return 0.0 if score < SCORE_FLOOR else float(score)
 
 
 def _skeleton_key(skel: Skeleton) -> tuple:
@@ -103,66 +101,42 @@ def single_param_hypotheses(param: str) -> tuple[Skeleton, ...]:
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=64)
-def _family_keys(param: str) -> tuple[tuple, ...]:
-    """Structural tie-break keys of single_param_hypotheses(param), in order."""
-    return tuple(_skeleton_key(skel) for skel in single_param_hypotheses(param))
-
-
-def _loo_scores(
-    coords: np.ndarray, skels: Sequence[Skeleton], ys: Sequence[np.ndarray]
-) -> np.ndarray:
-    """Score every skeleton on every target vector sharing the coordinates.
-
-    Skeletons of one size share a stack, and all targets are scored in one
-    batched LOO call per size.
-    """
+def _best(
+    coords: np.ndarray, skels: Sequence[Skeleton], lines: np.ndarray
+) -> Skeleton:
+    """The winner over (L, N) target lines sharing the coordinates, scored in
+    one batched LOO call per skeleton size. skels[0] must be the constant,
+    which scores finitely on finite data, so a NaN score never wins."""
     by_size: dict[int, list[int]] = {}
     for idx, skel in enumerate(skels):
         by_size.setdefault(skel.size, []).append(idx)
-    targets = np.array(ys)
-    scores = np.empty((len(skels), len(targets)))
+    scores = np.empty((len(skels), len(lines)))
     for idxs in by_size.values():
         stack = np.stack([design_matrix(skels[idx], coords) for idx in idxs])
-        scores[idxs] = _core.loo_cv_batch(stack, targets)
-    return scores
+        scores[idxs] = _core.loo_cv_batch(stack, lines)
+    scores[scores < SCORE_FLOOR] = 0.0
+    means = scores.mean(axis=1)
+    means[means < SCORE_FLOOR] = 0.0
+    tied = np.flatnonzero(means == np.nanmin(means))
+    return min((skels[idx] for idx in tied), key=_skeleton_key)
 
 
-def _select(
-    skels: Sequence[Skeleton], scores: Sequence[float], keys: Sequence[tuple]
-) -> tuple[Skeleton, float]:
-    best = min(range(len(skels)), key=lambda idx: (_snap(scores[idx]), keys[idx]))
-    return skels[best], _snap(scores[best])
-
-
-def _combine_exponents(
-    terms: Mapping[int, tuple[Expo, ...]], subset: Sequence[int], m: int
-) -> tuple[Expo, ...]:
-    exps: list[Expo] = [(Fraction(0), 0)] * m
-    for axis in subset:
-        for l, (i, j) in enumerate(terms[axis]):
-            old_i, old_j = exps[l]
-            exps[l] = (old_i + i, old_j + j)
-    return tuple(exps)
-
-
-def _candidates(
-    space: ParameterSpace, best_terms: Mapping[int, tuple[Expo, ...]]
-) -> list[Skeleton]:
+def _candidates(space: ParameterSpace, best: Mapping[int, Expo]) -> list[Skeleton]:
     """All skeletons over products of per-parameter best terms, <= m+1 bases."""
-    m = space.m
-    axes = sorted(best_terms)
-    products = []
-    for size in range(1, len(axes) + 1):
-        for subset in itertools.combinations(axes, size):
-            products.append(_combine_exponents(best_terms, subset, m))
-    const = constant_basis(m)
-    candidates = []
-    for count in range(0, m + 1):
-        for chosen in itertools.combinations(products, count):
-            bases = (const,) + tuple(BasisFunction(e) for e in chosen)
-            candidates.append(Skeleton(space.names, bases))
-    return candidates
+    absent: Expo = (Fraction(0), 0)
+    products = [
+        BasisFunction(
+            tuple(best[axis] if axis in subset else absent for axis in range(space.m))
+        )
+        for size in range(1, len(best) + 1)
+        for subset in itertools.combinations(sorted(best), size)
+    ]
+    const = constant_basis(space.m)
+    return [
+        Skeleton(space.names, (const,) + chosen)
+        for count in range(space.m + 1)
+        for chosen in itertools.combinations(products, count)
+    ]
 
 
 def search(data: Mapping[Coordinate, float], space: ParameterSpace) -> PmnfModel:
@@ -172,31 +146,22 @@ def search(data: Mapping[Coordinate, float], space: ParameterSpace) -> PmnfModel
     grid = space.grid()
     if set(data) != set(grid):
         raise ValidationError("hypothesis search requires the full grid")
-    if space.m == 1 and len(space.values[0]) < 3:
-        raise InsufficientDataError("need at least 3 distinct parameter values")
+    for name, values in zip(space.names, space.values):
+        if len(values) < 3:
+            raise InsufficientDataError(f"parameter {name!r} needs at least 3 values")
 
     y = np.array([data[c] for c in grid], dtype=float)
     cube = y.reshape([len(vs) for vs in space.values])
-    best_terms: dict[int, tuple[Expo, ...]] = {}
-    for axis in range(space.m):
-        hyps = single_param_hypotheses(space.names[axis])
-        axis_coords = np.array(space.values[axis], dtype=float)[:, None]
+    best: dict[int, Expo] = {}
+    for axis, (name, values) in enumerate(zip(space.names, space.values)):
         # every grid line along the axis, the other axes in grid order
-        lines = np.moveaxis(cube, axis, -1).reshape(-1, len(space.values[axis]))
-        line_scores = _loo_scores(axis_coords, hyps, lines)
-        line_scores[line_scores < SCORE_FLOOR] = 0.0
-        winner, _ = _select(
-            hyps, line_scores.mean(axis=1), _family_keys(space.names[axis])
-        )
+        lines = np.moveaxis(cube, axis, -1).reshape(-1, len(values))
+        axis_coords = np.array(values, dtype=float)[:, None]
+        winner = _best(axis_coords, single_param_hypotheses(name), lines)
         if winner.size > 1:
-            (i, j) = winner.bases[1].exponents[0]
-            exps: list[Expo] = [(Fraction(0), 0)] * space.m
-            exps[axis] = (i, j)
-            best_terms[axis] = tuple(exps)
+            best[axis] = winner.bases[1].exponents[0]
 
-    candidates = _candidates(space, best_terms)
-    scores = _loo_scores(np.array(grid, dtype=float), candidates, [y])[:, 0]
-    winner, _ = _select(candidates, scores, [_skeleton_key(c) for c in candidates])
+    winner = _best(np.array(grid, dtype=float), _candidates(space, best), y[None])
     return fit_skeleton_to_time(winner, data)
 
 

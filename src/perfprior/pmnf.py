@@ -346,12 +346,10 @@ def model_from_skeleton(
 
 def skeleton_from_model(model: PmnfModel) -> Skeleton:
     """Strip coefficients from a model, keeping its structure."""
-    n = len(model.space_names)
-    bases = [constant_basis(n)]
-    seen = {bases[0].signature()}
-    for t in sorted(model.terms, key=Term.signature):
-        b = BasisFunction(t.exponents, t.ranks_fraction)
-        if b.signature() not in seen:
-            seen.add(b.signature())
-            bases.append(b)
-    return Skeleton(model.space_names, tuple(bases))
+    # PmnfModel rejects repeated term structures, and no term has the
+    # constant's signature, so every basis is distinct
+    bases = (constant_basis(len(model.space_names)),) + tuple(
+        BasisFunction(t.exponents, t.ranks_fraction)
+        for t in sorted(model.terms, key=Term.signature)
+    )
+    return Skeleton(model.space_names, bases)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import io
 import json
 import signal
@@ -18,7 +19,12 @@ from perfprior.benchgen import (
     spec_to_dict,
 )
 from perfprior.cli import main
-from perfprior.dataset import experiment_to_dict, load_experiment, save_experiment
+from perfprior.dataset import (
+    ParameterSpace,
+    experiment_to_dict,
+    load_experiment,
+    save_experiment,
+)
 
 
 def run(capsys, *argv):
@@ -194,6 +200,22 @@ class TestModel:
         # numpy may warn about the overflow first; the error is one line
         (line,) = [line for line in err.splitlines() if line.startswith("error:")]
         assert "k00/compute" in line and "non-finite" in line
+
+    @pytest.mark.parametrize("pipeline", ["classic", "swc"])
+    def test_two_value_parameter_exits_4(self, tmp_path, capsys, pipeline):
+        spec = random_spec(3, 2, 1)
+        p_values, _ = spec.space.values
+        space = ParameterSpace(spec.space.names, (p_values, (8000.0, 16000.0)))
+        path = tmp_path / "exp.json"
+        exp = simulate_measurements(dataclasses.replace(spec, space=space), reps=2)
+        save_experiment(exp, path)
+        code, stdout, err = run_strict(
+            capsys, "model", "--experiment", str(path), "--pipeline", pipeline,
+        )
+        assert code == 4 and stdout == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: ")
+        assert "parameter 'n' needs at least 3 values" in line
 
 
 class TestInject:

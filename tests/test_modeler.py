@@ -123,10 +123,37 @@ class TestSearchSingle:
         assert leading_exponents(model)["x"] == (F(0), 1)
 
     def test_needs_three_distinct_values(self):
-        with pytest.raises(InsufficientDataError):
-            search(
-                {(2.0,): 1.0, (4.0,): 2.0}, ParameterSpace(("x",), ((2.0, 4.0),))
-            )
+        # with two values, every LOO fold of a two-basis line is underdetermined
+        for space, name in (
+            (ParameterSpace(("x",), ((2.0, 4.0),)), "x"),
+            (ParameterSpace(("p", "n"), (X5, (8000.0, 16000.0))), "n"),
+        ):
+            data = {c: 1.0 + sum(c) for c in space.grid()}
+            with pytest.raises(
+                InsufficientDataError, match=f"parameter '{name}' needs at least 3"
+            ):
+                search(data, space)
+
+
+class TestFloorTies:
+    """Scores below SCORE_FLOOR tie at 0, and the tie goes to the fewest bases.
+
+    A large offset shrinks every relative error: at 1e9 the linear term is
+    the only exact fit, at 1e15 every hypothesis scores below the floor.
+    """
+
+    def test_offset_above_the_floor_keeps_the_term(self):
+        model = search(one_param_data(lambda x: 1e9 + x), X_SPACE)
+        assert [t.exponents for t in model.terms] == [((F(1), 0),)]
+
+    def test_every_score_below_the_floor_gives_the_constant(self):
+        model = search(one_param_data(lambda x: 1e15 + x), X_SPACE)
+        assert model.terms == ()
+
+    def test_two_parameters_below_the_floor_give_the_constant(self):
+        space = ParameterSpace(("p", "n"), (X5, X5))
+        model = search({c: 1e15 + c[0] * c[1] for c in space.grid()}, space)
+        assert model.terms == ()
 
 
 class TestSearchMulti:
@@ -193,6 +220,35 @@ def _random_single_dataset(rng):
     return {(v,): float(t) for v, t in zip(x, y)}
 
 
+def _random_multi_target(rng, space):
+    """Exact grid targets of the constant plus one random family term per
+    parameter, each column scaled to a random peak in [0.01, 100]."""
+    i_set, j_set = default_exponent_sets()
+    terms = []
+    for axis in range(space.m):
+        while True:
+            i, j = i_set[rng.integers(20)], j_set[rng.integers(3)]
+            if i != 0 or j != 0:
+                break
+        exps = [(F(0), 0)] * space.m
+        exps[axis] = (i, j)
+        terms.append(tuple(exps))
+    bases = (constant_basis(space.m),) + tuple(BasisFunction(t) for t in terms)
+    a = design_matrix(Skeleton(space.names, bases), np.array(space.grid()))
+    targets = 10.0 ** rng.uniform(-2, 2, size=space.m + 1)
+    return a @ (targets / np.abs(a).max(axis=0))
+
+
+def _matches_multi_oracle(y, space):
+    data = {tuple(c): float(v) for c, v in zip(space.grid(), y)}
+    got = search(data, space)
+    want = exhaustive_oracle(data, "multi_restricted", space)
+    return (
+        leading_exponents(got) == leading_exponents(want)
+        and len(got.terms) == len(want.terms)
+    )
+
+
 class TestOracleEquivalence:
     def test_single_param_hundred_datasets(self):
         rng = np.random.default_rng(2024)
@@ -212,35 +268,32 @@ class TestOracleEquivalence:
 
     def test_multi_param_datasets(self, pn_space):
         rng = np.random.default_rng(77)
-        i_set, j_set = default_exponent_sets()
         matches = 0
         trials = 20
         for _ in range(trials):
-            terms = []
-            for axis in range(2):
-                while True:
-                    i, j = i_set[rng.integers(20)], j_set[rng.integers(3)]
-                    if i != 0 or j != 0:
-                        break
-                exps = [(F(0), 0), (F(0), 0)]
-                exps[axis] = (i, j)
-                terms.append(tuple(exps))
-            bases = (constant_basis(2),) + tuple(BasisFunction(t) for t in terms)
-            skel = Skeleton(pn_space.names, bases)
-            coords = np.array(pn_space.grid())
-            a = design_matrix(skel, coords)
-            targets = 10.0 ** rng.uniform(-2, 2, size=3)
-            true = targets / np.abs(a).max(axis=0)
-            y = a @ true
+            y = _random_multi_target(rng, pn_space)
             if rng.random() < 0.5:
                 y = y * (1.0 + 0.1 * rng.uniform(0, 1, size=len(y)))
-            data = {tuple(c): float(v) for c, v in zip(pn_space.grid(), y)}
-            got = search(data, pn_space)
-            want = exhaustive_oracle(data, "multi_restricted", pn_space)
-            if leading_exponents(got) == leading_exponents(want) and len(
-                got.terms
-            ) == len(want.terms):
-                matches += 1
+            matches += _matches_multi_oracle(y, pn_space)
+        assert matches == trials
+
+    def test_three_param_datasets(self):
+        space = ParameterSpace(
+            ("p", "n", "s"),
+            (
+                (128.0, 256.0, 512.0, 1024.0),
+                (8000.0, 16000.0, 24000.0, 32000.0),
+                (1000.0, 2000.0, 3000.0, 4000.0),
+            ),
+        )
+        rng = np.random.default_rng(303)
+        matches = 0
+        trials = 10
+        for k in range(trials):
+            y = _random_multi_target(rng, space)
+            if k % 2:
+                y = y * (1.0 + 0.1 * rng.uniform(0, 1, size=len(y)))
+            matches += _matches_multi_oracle(y, space)
         assert matches == trials
 
 
