@@ -45,7 +45,6 @@ from .priors import (
 from .noise import NoiseConfig, NoisePattern, inject, sample
 from .benchgen import (
     BenchmarkSpec,
-    ComplexityTerm,
     KernelSpec,
     random_spec,
     simulate_measurements,

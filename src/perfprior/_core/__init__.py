@@ -4,7 +4,10 @@ Leave-one-out scoring is the hot path of hypothesis search. It solves the
 normal equations of every fold of every hypothesis, for every target
 vector, in one batched numpy call; hypotheses whose folds are
 rank-deficient are rescored on the exact per-fold SVD route, which is also
-the one used for final coefficients.
+the one used for final coefficients. Both routes reduce their fold
+predictions through one error, `_loo_error`, in which a non-finite
+prediction or target makes the score NaN rather than an exact fit. A
+hypothesis whose design overflowed is never rescored and keeps a NaN score.
 """
 
 from __future__ import annotations
@@ -35,10 +38,13 @@ def fit_ols(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, int]:
     (extended-precision residuals), which keeps small coefficients accurate
     next to terms that are many orders of magnitude larger. Rank-deficient
     systems return the minimum-norm solution in the original coordinates.
-    Returns (coefficients, rss, rank).
+    Returns (coefficients, rss, rank); an overflowed (non-finite) design
+    gives NaN coefficients without reaching LAPACK, which rejects it.
     """
     a = np.asarray(a, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    if not np.isfinite(a).all():
+        return np.full(a.shape[1], np.nan), np.nan, 0
     scaled, norms = column_scaled(a)
     coef_s, _, rank, _ = np.linalg.lstsq(scaled, y, rcond=None)
     if rank < a.shape[1]:
@@ -66,28 +72,25 @@ def fit_ols(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, int]:
     return coef, rss, int(rank)
 
 
+def _loo_error(pred: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Mean symmetric relative error |pred - y| / (|y| + |pred|) over the
+    last (fold) axis of pred; y broadcasts against pred. A 0/0 fold counts
+    0; a NaN or inf fold makes the mean NaN."""
+    denom = np.abs(y) + np.abs(pred)
+    err = np.zeros_like(pred)
+    np.divide(np.abs(pred - y), denom, out=err, where=denom != 0)
+    return err.mean(axis=-1)
+
+
 def loo_cv_slow(a: np.ndarray, y: np.ndarray) -> float:
     """Per-fold SVD leave-one-out score; handles rank-deficient folds."""
     n = a.shape[0]
-    total = 0.0
+    pred = np.empty(n)
     for i in range(n):
         mask = np.arange(n) != i
         coef, _, _, _ = np.linalg.lstsq(a[mask], y[mask], rcond=None)
-        pred = float(a[i] @ coef)
-        denom = abs(y[i]) + abs(pred)
-        if denom > 0:
-            total += abs(pred - y[i]) / denom
-    return total / n
-
-
-def _scores_from_solutions(a_stack, ys, coef):
-    """(L, H) mean symmetric relative errors of (L, H, N, k) fold solutions."""
-    pred = np.einsum("hnk,lhnk->lhn", a_stack, coef)
-    y = ys[:, None, :]
-    denom = np.abs(y) + np.abs(pred)
-    err = np.zeros_like(pred)
-    np.divide(np.abs(pred - y), denom, out=err, where=denom > 0)
-    return err.mean(axis=-1)
+        pred[i] = a[i] @ coef
+    return float(_loo_error(pred, y))
 
 
 def _pivots_ok(gram_folds: np.ndarray) -> np.ndarray:
@@ -128,8 +131,11 @@ def loo_cv_batch(a_stack: np.ndarray, ys: np.ndarray) -> np.ndarray:
         rhs = np.einsum("hnk,ln->lhk", a_ok, targets)
         rhs_folds = rhs[:, :, None, :] - a_ok[None] * targets[:, None, :, None]
         coef = np.linalg.solve(gram_folds[ok], rhs_folds[..., None])[..., 0]
-        scores[ok] = _scores_from_solutions(a_ok, targets, coef).T
+        pred = np.einsum("hnk,lhnk->lhn", a_ok, coef)
+        scores[ok] = _loo_error(pred, targets[:, None, :]).T
     for hi in np.nonzero(~ok)[0]:
+        if not np.isfinite(scaled[hi]).all():
+            continue  # an overflowed design: LAPACK cannot take it
         for col, y in enumerate(targets):
             scores[hi, col] = loo_cv_slow(scaled[hi], y)
     return scores[:, 0] if ys.ndim == 1 else scores

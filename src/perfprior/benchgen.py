@@ -49,26 +49,17 @@ from .dataset import (
 )
 from .errors import ParseError, ValidationError
 from .noise import perturb
-from .pmnf import Expo, default_exponent_sets, leading_from_terms, monomial_values
+from .pmnf import (
+    BasisFunction,
+    Expo,
+    Term,
+    default_exponent_sets,
+    leading_from_terms,
+    monomial_values,
+)
 from .priors import B, B_FRAC, COST_FORMS, LOG_P, has_factor
 
 SPEC_FORMAT_VERSION = 1
-
-
-@dataclass(frozen=True)
-class ComplexityTerm:
-    """Per-parameter (monomial, log) exponents of one complexity term."""
-
-    exponents: tuple[Expo, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "exponents",
-            tuple((Fraction(i), int(j)) for i, j in self.exponents),
-        )
-        if all(i == 0 and j == 0 for i, j in self.exponents):
-            raise ValidationError("complexity term must not be all-zero")
 
 
 @dataclass(frozen=True)
@@ -76,10 +67,10 @@ class KernelSpec:
     """Ground-truth description of one synthetic kernel."""
 
     name: str
-    computation_terms: tuple[tuple[ComplexityTerm, float], ...]
+    computation_terms: tuple[Term, ...]
     loop_arrangement: str
     mpi_op: MpiOp | None
-    message_elems_term: ComplexityTerm | None
+    message_elems_term: BasisFunction | None
     elem_size: int = 4
     message_elems_base: int = 1
     true_alpha: float = 1e-5
@@ -101,9 +92,11 @@ class KernelSpec:
             )
         if not self.computation_terms:
             raise ValidationError("kernel needs at least one computation term")
-        for _, coeff in self.computation_terms:
-            if not (coeff > 0):
+        for term in self.computation_terms:
+            if not (term.coefficient > 0):
                 raise ValidationError("computation coefficients must be positive")
+        if self.message_elems_term is not None and self.message_elems_term.is_constant:
+            raise ValidationError("message term must not be all-zero")
         if self.mpi_op is not None and not has_factor(self.mpi_op, B, B_FRAC):
             if self.message_elems_term is not None:
                 raise ValidationError(
@@ -149,7 +142,7 @@ class BenchmarkSpec:
         if len(set(names)) != len(names):
             raise ValidationError("kernel names must be unique")
         for k in self.kernels:
-            for term, _ in k.computation_terms:
+            for term in k.computation_terms:
                 if len(term.exponents) != self.space.m:
                     raise ValidationError("term arity does not match space")
             if k.message_elems_term is not None:
@@ -201,18 +194,14 @@ def _draw_axis_function(rng: np.random.Generator) -> Expo:
             return (Fraction(i), int(j))
 
 
-def _axis_term(m: int, axis: int, expo: Expo) -> ComplexityTerm:
+def _axis_term(m: int, axis: int, expo: Expo) -> tuple[Expo, ...]:
     exps: list[Expo] = [(Fraction(0), 0)] * m
     exps[axis] = expo
-    return ComplexityTerm(tuple(exps))
+    return tuple(exps)
 
 
-def _combine_terms(a: ComplexityTerm, b: ComplexityTerm) -> ComplexityTerm:
-    exps = tuple(
-        (ia + ib, ja + jb)
-        for (ia, ja), (ib, jb) in zip(a.exponents, b.exponents)
-    )
-    return ComplexityTerm(exps)
+def _combine_terms(a: Sequence[Expo], b: Sequence[Expo]) -> tuple[Expo, ...]:
+    return tuple((ia + ib, ja + jb) for (ia, ja), (ib, jb) in zip(a, b))
 
 
 def _draw_kernel(
@@ -226,7 +215,7 @@ def _draw_kernel(
 
     for _ in range(500):
         functions = {axis: _draw_axis_function(rng) for axis in axis_order}
-        terms: list[ComplexityTerm] = []
+        terms: list[tuple[Expo, ...]] = []
         if arrangement == "nested":
             current = None
             for axis in axis_order:
@@ -236,18 +225,18 @@ def _draw_kernel(
         else:
             terms = [_axis_term(m, axis, functions[axis]) for axis in axis_order]
         if all(
-            monomial_values(t.exponents, grid, logs).min() >= MIN_TERM_VALUE
+            monomial_values(t, grid, logs).min() >= MIN_TERM_VALUE
             for t in terms
         ):
             break
     else:
         raise ValidationError("could not draw terms above the minimum value floor")
 
-    computation = tuple((t, _log_uniform(rng, *COEFF_RANGE)) for t in terms)
+    computation = tuple(Term(_log_uniform(rng, *COEFF_RANGE), t) for t in terms)
     op = MPI_OPS[rng.integers(len(MPI_OPS))]
     message = None
     if has_factor(op, B, B_FRAC):
-        while True:
+        while message is None or message.is_constant:
             exps: list[Expo] = []
             for _ in range(m):
                 if rng.random() < MESSAGE_ZERO_PROB:
@@ -256,9 +245,7 @@ def _draw_kernel(
                     i = MESSAGE_MONOMIALS[rng.integers(len(MESSAGE_MONOMIALS))]
                     j = MESSAGE_LOGS[rng.integers(len(MESSAGE_LOGS))]
                     exps.append((Fraction(i), int(j)))
-            if any(i != 0 or j != 0 for i, j in exps):
-                message = ComplexityTerm(tuple(exps))
-                break
+            message = BasisFunction(tuple(exps))
     return KernelSpec(
         name=name,
         computation_terms=computation,
@@ -306,11 +293,11 @@ def _callpaths(
     logs = np.log2(coords)
     bb = np.zeros(coords.shape[0])
     time_comp = np.zeros(coords.shape[0])
-    for term, coeff in kernel.computation_terms:
+    for term in kernel.computation_terms:
         values = monomial_values(term.exponents, coords, logs)
         bb += np.rint(values) * kernel.bb_per_iteration
-        time_comp += coeff * values
-    comp = [t.exponents for t, _ in kernel.computation_terms]
+        time_comp += term.coefficient * values
+    comp = [t.exponents for t in kernel.computation_terms]
     yield CallPath(f"{kernel.name}/compute", KIND_COMPUTATION), comp, time_comp, bb
     op = kernel.mpi_op
     if op is None:
@@ -433,8 +420,11 @@ def spec_to_dict(spec: BenchmarkSpec) -> dict:
                 "name": k.name,
                 "loop_arrangement": k.loop_arrangement,
                 "computation_terms": [
-                    {"exponents": _expo_to_json(t.exponents), "coefficient": c}
-                    for t, c in k.computation_terms
+                    {
+                        "exponents": _expo_to_json(t.exponents),
+                        "coefficient": t.coefficient,
+                    }
+                    for t in k.computation_terms
                 ],
                 "mpi_op": None if k.mpi_op is None else k.mpi_op.value,
                 "message_elems_term": None
@@ -460,10 +450,10 @@ def _kernel_from_dict(k, m: int) -> KernelSpec:
         require_keys(t, "computation term", ["exponents", "coefficient"])
         expos = _expo_from_json(t["exponents"], m, "computation term")
         coefficient = require_number(t["coefficient"], "computation term")
-        terms.append((ComplexityTerm(expos), coefficient))
+        terms.append(Term(coefficient, expos))
     message = k["message_elems_term"]
     if message is not None:
-        message = ComplexityTerm(_expo_from_json(message, m, "message_elems_term"))
+        message = BasisFunction(_expo_from_json(message, m, "message_elems_term"))
     return KernelSpec(
         name=k["name"],
         computation_terms=tuple(terms),

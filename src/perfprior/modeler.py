@@ -105,8 +105,8 @@ def _best(
     coords: np.ndarray, skels: Sequence[Skeleton], lines: np.ndarray
 ) -> Skeleton:
     """The winner over (L, N) target lines sharing the coordinates, scored in
-    one batched LOO call per skeleton size. skels[0] must be the constant,
-    which scores finitely on finite data, so a NaN score never wins."""
+    one batched LOO call per skeleton size. NaN scores (non-finite folds)
+    never win; raises ModelingError when every skeleton scores NaN."""
     by_size: dict[int, list[int]] = {}
     for idx, skel in enumerate(skels):
         by_size.setdefault(skel.size, []).append(idx)
@@ -117,6 +117,8 @@ def _best(
     scores[scores < SCORE_FLOOR] = 0.0
     means = scores.mean(axis=1)
     means[means < SCORE_FLOOR] = 0.0
+    if np.isnan(means).all():
+        raise ModelingError("every hypothesis scores non-finite: the data overflow")
     tied = np.flatnonzero(means == np.nanmin(means))
     return min((skels[idx] for idx in tied), key=_skeleton_key)
 

@@ -7,11 +7,11 @@ from pathlib import Path
 import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from perfprior.benchgen import BenchmarkSpec, ComplexityTerm, KernelSpec
+from perfprior.benchgen import BenchmarkSpec, KernelSpec
 from perfprior.dataset import MpiOp, ParameterSpace
 from perfprior.errors import ValidationError
 from perfprior.evaluation import deviation_from_truth
-from perfprior.pmnf import PmnfModel, Term, leading_exponents
+from perfprior.pmnf import BasisFunction, PmnfModel, Term, leading_exponents
 
 # At collection, hypothesis's pytest plugin caches constants of the source
 # modules under its home directory, ./.hypothesis by default, whatever a
@@ -35,14 +35,14 @@ def fig2_spec(message_base: int = 1) -> BenchmarkSpec:
     broadcast of n*p integers; computation O(n*p + n), communication
     O(n*p + log2 p)."""
     f0 = Fraction(0)
-    term_n = ComplexityTerm(((f0, 0), (Fraction(1), 0)))
-    term_np = ComplexityTerm(((Fraction(1), 0), (Fraction(1), 0)))
+    term_n = ((f0, 0), (Fraction(1), 0))
+    term_np = ((Fraction(1), 0), (Fraction(1), 0))
     kernel = KernelSpec(
         name="k00",
-        computation_terms=((term_n, 2e-8), (term_np, 5e-9)),
+        computation_terms=(Term(2e-8, term_n), Term(5e-9, term_np)),
         loop_arrangement="nested",
         mpi_op=MpiOp.BROADCAST,
-        message_elems_term=term_np,
+        message_elems_term=BasisFunction(term_np),
         elem_size=4,
         message_elems_base=message_base,
         true_alpha=3e-5,

@@ -10,7 +10,6 @@ from conftest import fig2_spec
 from perfprior.benchgen import (
     MIN_TERM_VALUE,
     BenchmarkSpec,
-    ComplexityTerm,
     KernelSpec,
     load_spec,
     random_spec,
@@ -23,7 +22,7 @@ from perfprior.benchgen import (
 )
 from perfprior.dataset import EFFORT_METRIC, MpiOp
 from perfprior.errors import ParseError, ValidationError
-from perfprior.pmnf import monomial_values
+from perfprior.pmnf import BasisFunction, Term, monomial_values
 from perfprior.priors import account_bytes
 
 F = Fraction
@@ -48,7 +47,7 @@ def n_kernel(name, op, n_exp=1, message=None):
     n^n_exp, with an optional operation and message-size term."""
     return KernelSpec(
         name=name,
-        computation_terms=((ComplexityTerm(((F(0), 0), (F(n_exp), 0))), 1e-7),),
+        computation_terms=(Term(1e-7, ((F(0), 0), (F(n_exp), 0))),),
         loop_arrangement="sequential",
         mpi_op=op,
         message_elems_term=message,
@@ -79,7 +78,7 @@ class TestRandomSpec:
         for seed in range(1, 31):
             spec = random_spec(seed, 2, 1)
             grid = np.array(spec.space.grid())
-            for term, _ in spec.kernels[0].computation_terms:
+            for term in spec.kernels[0].computation_terms:
                 values = monomial_values(term.exponents, grid, np.log2(grid))
                 assert values.min() >= MIN_TERM_VALUE
 
@@ -124,7 +123,7 @@ class TestGroundTruth:
         assert truth_by_callpath(spec) == truth_by_callpath(scaled)
 
     def test_send_has_no_log_term(self):
-        message = ComplexityTerm(((F(0), 0), (F(1), 0)))
+        message = BasisFunction(((F(0), 0), (F(1), 0)))
         kernel = n_kernel("s00", MpiOp.SEND, message=message)
         sspec = BenchmarkSpec(0, fig2_spec().space, (kernel,), "p")
         truth = truth_by_callpath(sspec)
@@ -231,11 +230,11 @@ class TestSimulate:
         payload = op.value != "barrier"
         kernel = KernelSpec(
             name="c00",
-            computation_terms=((ComplexityTerm(((F(0), 0), (F(1), 0))), 1e-7),),
+            computation_terms=(Term(1e-7, ((F(0), 0), (F(1), 0))),),
             loop_arrangement="sequential",
             mpi_op=op,
             message_elems_term=(
-                ComplexityTerm(((F(0), 0), (F(1), 0))) if payload else None
+                BasisFunction(((F(0), 0), (F(1), 0))) if payload else None
             ),
             elem_size=4,
             true_alpha=a,
@@ -280,8 +279,8 @@ class TestSpecFiles:
         save_spec(spec, path)
         again = load_spec(path)
         for k1, k2 in zip(spec.kernels, again.kernels):
-            assert [t.exponents for t, _ in k1.computation_terms] == [
-                t.exponents for t, _ in k2.computation_terms
+            assert [t.exponents for t in k1.computation_terms] == [
+                t.exponents for t in k2.computation_terms
             ]
 
 
@@ -290,7 +289,7 @@ class TestKernelSpecInvariants:
         with pytest.raises(ValidationError):
             KernelSpec(
                 name="x",
-                computation_terms=((ComplexityTerm(((F(1), 0),)), 1.0),),
+                computation_terms=(Term(1.0, ((F(1), 0),)),),
                 loop_arrangement="nested",
                 mpi_op=MpiOp.BROADCAST,
                 message_elems_term=None,
@@ -300,7 +299,7 @@ class TestKernelSpecInvariants:
         with pytest.raises(ValidationError, match="string"):
             KernelSpec(
                 name=7,
-                computation_terms=((ComplexityTerm(((F(1), 0),)), 1.0),),
+                computation_terms=(Term(1.0, ((F(1), 0),)),),
                 loop_arrangement="nested",
                 mpi_op=None,
                 message_elems_term=None,
@@ -310,7 +309,7 @@ class TestKernelSpecInvariants:
         with pytest.raises(ValidationError):
             KernelSpec(
                 name="x",
-                computation_terms=((ComplexityTerm(((F(1), 0),)), 0.0),),
+                computation_terms=(Term(0.0, ((F(1), 0),)),),
                 loop_arrangement="nested",
                 mpi_op=None,
                 message_elems_term=None,

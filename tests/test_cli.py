@@ -20,6 +20,12 @@ from perfprior.benchgen import (
 )
 from perfprior.cli import main
 from perfprior.dataset import (
+    EFFORT_METRIC,
+    KIND_COMPUTATION,
+    METRIC_TIME,
+    CallPath,
+    ExperimentSet,
+    MetricSeries,
     ParameterSpace,
     experiment_to_dict,
     load_experiment,
@@ -200,6 +206,68 @@ class TestModel:
         # numpy may warn about the overflow first; the error is one line
         (line,) = [line for line in err.splitlines() if line.startswith("error:")]
         assert "k00/compute" in line and "non-finite" in line
+
+    @pytest.mark.parametrize(
+        "runtimes",
+        [[1.7e308] * 5, [1.0, 1e308, 1.7e308, 1e308, 5.0]],
+        ids=["all-huge", "mixed"],
+    )
+    def test_overflowing_folds_exit_4_naming_callpath(
+        self, tmp_path, capsys, runtimes
+    ):
+        # every leave-one-out fold sum overflows, so every hypothesis of the
+        # classic search scores NaN and none may be taken for an exact fit
+        doc = experiment_to_dict(simulate_measurements(random_spec(0, 1, 1), reps=1))
+        for record, y in zip(doc["callpaths"][0]["metrics"]["time_s"], runtimes):
+            record["repetitions"] = [y]
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, stdout, err = run_strict(
+            capsys, "model", "--experiment", str(path), "--pipeline", "classic",
+        )
+        assert code == 4 and stdout == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and "k00/compute" in line
+
+    @pytest.mark.parametrize("pipeline", ["classic", "swc"])
+    def test_overflowing_design_fits(self, tmp_path, capfd, pipeline):
+        # x^3 log2(x)^2 overflows at x = 1e100, so some hypotheses' designs
+        # are not finite; they must not reach LAPACK
+        p = [v * 1e100 for v in (1.0, 2.0, 4.0, 8.0, 16.0)]
+        effort = EFFORT_METRIC[KIND_COMPUTATION]
+        metrics = {
+            METRIC_TIME: MetricSeries(METRIC_TIME, [[1e-90 * v] for v in p]),
+            effort: MetricSeries(effort, [[v] for v in p]),
+        }
+        exp = ExperimentSet(
+            ParameterSpace(("p",), (p,)), ((CallPath("a", KIND_COMPUTATION), metrics),)
+        )
+        path = tmp_path / "exp.json"
+        save_experiment(exp, path)
+        code, stdout, err = run(
+            capfd, "model", "--experiment", str(path), "--pipeline", pipeline,
+        )
+        assert (code, err) == (0, "")
+        assert stdout.startswith("a  [p:1]") and stdout.endswith(" + 1e-90 * p\n")
+
+    @pytest.mark.parametrize("pipeline", ["classic", "swc"])
+    @pytest.mark.parametrize("scale", [1e100, 1e200, 1e300])
+    def test_scaled_parameters_keep_exit_contract(
+        self, tmp_path, capfd, scale, pipeline
+    ):
+        exp = simulate_measurements(random_spec(3, 2, 1), reps=2)
+        values = tuple(tuple(v * scale for v in vs) for vs in exp.space.values)
+        space = ParameterSpace(exp.space.names, values)
+        path = tmp_path / "exp.json"
+        save_experiment(dataclasses.replace(exp, space=space), path)
+        code, stdout, err = run(
+            capfd, "model", "--experiment", str(path), "--pipeline", pipeline,
+        )
+        assert code in (0, 4)
+        if code == 4:
+            (line,) = err.splitlines()
+            assert line.startswith("error: ")
+        assert "DLASCL" not in stdout + err
 
     @pytest.mark.parametrize("pipeline", ["classic", "swc"])
     def test_two_value_parameter_exits_4(self, tmp_path, capsys, pipeline):

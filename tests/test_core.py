@@ -7,6 +7,8 @@ from perfprior._core import (
     loo_cv_batch,
     loo_cv_slow,
 )
+from perfprior.modeler import single_param_hypotheses
+from perfprior.pmnf import design_matrix
 
 
 def quad_system():
@@ -39,6 +41,13 @@ class TestFitOls:
         assert rank == 1
         assert np.allclose(coef, expected, rtol=1e-12)
         assert rss < 1e-18
+
+    def test_overflowed_design_gives_nan_without_lapack(self, capfd):
+        x = np.array([2.0, 4.0, 8.0, 16.0, 32.0])
+        a = np.stack([np.ones_like(x), x, np.full_like(x, np.inf)], axis=1)
+        coef, _, _ = fit_ols(a, x)
+        assert np.isnan(coef).all()
+        assert capfd.readouterr() == ("", "")
 
     def test_small_constant_next_to_huge_term(self):
         x = np.array([8000.0, 16000.0, 24000.0, 32000.0, 40000.0])
@@ -112,6 +121,42 @@ class TestLooCvBatch:
         slow = [loo_cv_slow(s, y) for s in scaled]
         assert np.all(np.isfinite(scores))
         assert np.allclose(scores, slow, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+class TestNonFiniteFolds:
+    """A fold with a NaN or inf prediction or target is not an exact fit:
+    it makes the hypothesis's score NaN on both leave-one-out routes."""
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_every_single_parameter_hypothesis_scores_nan(self, bad):
+        x = np.array([[2.0], [4.0], [8.0], [16.0], [32.0]])
+        y = np.array([1.0, 2.0, bad, 4.0, 5.0])
+        skels = single_param_hypotheses("x")
+        assert len(skels) == 60
+        for skel in skels:
+            assert np.isnan(loo_cv_batch(design_matrix(skel, x)[None], y)[0])
+
+    def test_rescue_with_nan_target_scores_nan(self):
+        x = np.array([2.0, 4.0, 8.0, 16.0])
+        a = np.stack([np.ones_like(x), x, x], axis=1)
+        y = np.array([1.0, 2.0, np.nan, 4.0])
+        assert np.isnan(loo_cv_slow(column_scaled(a)[0], y))
+        assert np.isnan(loo_cv_batch(a[None], y)[0])
+
+    def test_overflowed_design_is_not_rescued(self, capfd):
+        # an inf column scales to NaN; LAPACK would reject it with output
+        # on the process's stdout, so the rescue skips it
+        rng = np.random.default_rng(10)
+        a = rng.uniform(0.5, 1e3, size=(4, 6, 2))
+        y = rng.uniform(0.1, 10, size=6)
+        bad = a.copy()
+        bad[1, 3, 1] = np.inf
+        scores = loo_cv_batch(bad, y)
+        assert np.isnan(scores[1])
+        keep = [0, 2, 3]
+        assert np.array_equal(scores[keep], loo_cv_batch(a[keep], y))
+        assert capfd.readouterr() == ("", "")
 
 
 class TestLooCvBatchMultiTarget:

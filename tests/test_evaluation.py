@@ -199,18 +199,19 @@ class TestStudies:
         # send kernel: both the compute and the communication runtimes lie
         # inside the classic search family, so recovery is exact for both
         # pipelines
-        from perfprior.benchgen import BenchmarkSpec, ComplexityTerm, KernelSpec
+        from perfprior.benchgen import BenchmarkSpec, KernelSpec
         from perfprior.dataset import MpiOp
+        from perfprior.pmnf import BasisFunction, Term
 
         base = fig2_spec()
-        term_np = ComplexityTerm(((F(1), 0), (F(1), 0)))
-        term_n = ComplexityTerm(((F(0), 0), (F(1), 0)))
+        term_np = ((F(1), 0), (F(1), 0))
+        term_n = ((F(0), 0), (F(1), 0))
         kernel = KernelSpec(
             name="k00",
-            computation_terms=((term_n, 2e-8), (term_np, 5e-9)),
+            computation_terms=(Term(2e-8, term_n), Term(5e-9, term_np)),
             loop_arrangement="nested",
             mpi_op=MpiOp.SEND,
-            message_elems_term=term_np,
+            message_elems_term=BasisFunction(term_np),
         )
         spec = BenchmarkSpec(0, base.space, (kernel,), "p")
         for pipeline in ("classic", "swc"):

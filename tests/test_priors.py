@@ -282,8 +282,8 @@ class TestBuildSwcModel:
         kernel = spec.kernels[0]
         comp = build_swc_model(exp, "k00/compute")
         got = {t.exponents: t.coefficient for t in comp.terms}
-        for term, coeff in kernel.computation_terms:
-            assert got[term.exponents] == pytest.approx(coeff, rel=1e-6)
+        for term in kernel.computation_terms:
+            assert got[term.exponents] == pytest.approx(term.coefficient, rel=1e-6)
         comm = build_swc_model(exp, "k00/broadcast")
         got = {t.exponents: t.coefficient for t in comm.terms}
         log_term = ((F(0), 1), (F(0), 0))

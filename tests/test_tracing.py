@@ -4,7 +4,9 @@
 package, so a refactor that moves a call off a wrapped name silently
 zeroes a per-layer metric. This test installs the tracer over the package
 in a subprocess, so that no wrapper outlives it, runs each CLI workload
-for both pipelines, and checks that every stage span fired.
+for both pipelines, and checks that every stage span fired. No CLI
+workload has a rank-deficient fold, so it also scores one duplicated-column
+design and checks that the rescue counter saw it.
 """
 
 import json
@@ -30,7 +32,8 @@ STAGES = {
 SCRIPT = """
 import importlib.util, json, sys
 from pathlib import Path
-from perfprior import benchgen, cli
+import numpy as np
+from perfprior import _core, benchgen, cli
 
 spec = importlib.util.spec_from_file_location("tracing", sys.argv[1])
 tracing = importlib.util.module_from_spec(spec)
@@ -49,7 +52,9 @@ for pipeline in ("classic", "swc"):
     ):
         argv += ["--pipeline", pipeline, "--out", str(work / "out")]
         assert cli.main(argv) == 0, argv
-print(json.dumps(sorted(tracer.calls)))
+x = np.array([2.0, 4.0, 8.0, 16.0])
+_core.loo_cv_batch(np.stack([np.ones_like(x), x, x], axis=1)[None], 2 * x)
+print(json.dumps([sorted(tracer.calls), tracer.counts["loo_rescues"]]))
 """
 
 
@@ -66,5 +71,6 @@ def test_tracer_sees_every_stage(tmp_path):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr.decode()
-    fired = set(json.loads(proc.stdout.decode().splitlines()[-1]))
-    assert STAGES - fired == set()
+    fired, rescues = json.loads(proc.stdout.decode().splitlines()[-1])
+    assert STAGES - set(fired) == set()
+    assert rescues > 0
