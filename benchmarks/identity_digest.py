@@ -43,7 +43,12 @@ Classes, each hashed over its documents in a fixed order:
   3,000 seeded one-parameter datasets: 3-, 5- and 7-point grids, each
   arithmetic or geometric, with exact, noisy (up to +30 %) or constant
   targets; the exact and noisy ones come from a random member of the
-  single-parameter hypothesis family.
+  single-parameter hypothesis family;
+- `evaluate`: `pmnf.evaluate` of 3,000 seeded random models (m = 1-3, up
+  to three terms, a fifth of them with a (p-1)/p factor) at 4 random
+  non-integer coordinates each. The study lines reach `evaluate` only at
+  integer test points, where numpy's and Python's float powers agree; off
+  them the two can differ in the last bit, so this line pins the route.
 
 It takes about a minute on a 2-core machine.
 """
@@ -66,6 +71,7 @@ MODEL_SEEDS = {1: range(120), 2: range(120), 3: range(40)}
 TRUTH_SEEDS = range(120)
 INJECT_SEEDS = range(40)
 SEARCH_DATASETS = 3000
+EVALUATE_MODELS = 3000
 PINNED = Path(__file__).with_name("identity_digest.txt")
 
 
@@ -205,6 +211,32 @@ def search_digest() -> str:
     return digest.hexdigest()
 
 
+def random_model(seed: int) -> pmnf.PmnfModel:
+    """One seeded model on m = 1-3 parameters with up to three terms."""
+    rng = np.random.default_rng(seed)
+    names = ("p", "n", "q")[: 1 + seed % 3]
+    i_set, j_set = pmnf.default_exponent_sets()
+    terms = {}
+    for _ in range(rng.integers(0, 4)):
+        exponents = [(rng.choice(i_set), int(rng.choice(j_set))) for _ in names]
+        fraction = "p" if rng.uniform() < 0.2 else None
+        if fraction or any(i or j for i, j in exponents):
+            term = pmnf.Term(10.0 ** rng.uniform(-3, 3), exponents, fraction)
+            terms[term.signature()] = term
+    return pmnf.PmnfModel(rng.uniform(-10, 10), tuple(terms.values()), names)
+
+
+def evaluate_digest() -> str:
+    digest = hashlib.sha256()
+    for seed in range(EVALUATE_MODELS):
+        model = random_model(seed)
+        rng = np.random.default_rng([seed, 1])
+        for _ in range(4):
+            at = tuple(rng.uniform(1, 1e4, size=len(model.space_names)))
+            digest.update(f"{pmnf.evaluate(model, at).hex()}\n".encode())
+    return digest.hexdigest()
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
@@ -214,6 +246,7 @@ def main() -> None:
         digests.update(study_digests(work))
     digests["truth"] = truth_digest()
     digests["search"] = search_digest()
+    digests["evaluate"] = evaluate_digest()
     for name, value in digests.items():
         print(f"{value}  {name}")
     lines = PINNED.read_text().splitlines()

@@ -25,8 +25,15 @@ _REFINE_STEPS = 2
 
 
 def column_scaled(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scale columns to unit 2-norm; zero columns are left untouched."""
+    """Scale columns to unit 2-norm; zero columns are left untouched. A
+    finite column whose sum of squares overflows is divided by its peak
+    magnitude before its norm is taken."""
     norms = np.sqrt(np.einsum("...nk,...nk->...k", a, a))
+    if not np.isfinite(norms).all():
+        over = ~np.isfinite(norms) & np.isfinite(a).all(axis=-2)
+        peak = np.where(over, np.abs(a).max(axis=-2), 1.0)
+        rescued = peak * np.linalg.norm(a / peak[..., None, :], axis=-2)
+        norms = np.where(over, rescued, norms)
     norms = np.where(norms > 0, norms, 1.0)
     return a / norms[..., None, :], norms
 

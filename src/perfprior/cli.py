@@ -78,13 +78,31 @@ def _lead_text(model) -> str:
     return " ".join(parts)
 
 
+def _model_table(models, exp) -> str:
+    width = max((len(cp.name) for cp, _ in exp.callpaths), default=0)
+    rows = []
+    for cp, _ in exp.callpaths:
+        model = models[cp.name]
+        rows.append(f"{cp.name:<{width}}  [{_lead_text(model)}]  {render(model)}")
+    return "\n".join(rows) or "experiment has no call paths"
+
+
+def _report(doc: dict, args, text) -> int:
+    """Write doc to --out; print it under --format machine, else text()."""
+    if args.out:
+        write_document(doc, args.out, sort_keys=True)
+    if args.format == "machine":
+        print(json.dumps(doc, indent=1, sort_keys=True))
+    else:
+        print(text())
+    return EXIT_OK
+
+
 def cmd_generate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for idx in range(args.count):
-        spec_seed = int(
-            np.random.SeedSequence([args.seed, idx]).generate_state(1)[0]
-        )
+        spec_seed = evaluation._derived_seed(args.seed, idx)
         spec = benchgen.random_spec(spec_seed, args.params, args.kernels)
         benchgen.save_spec(spec, out / f"spec_{idx:03d}.json")
     print(f"wrote {args.count} benchmark specs to {out}")
@@ -127,18 +145,7 @@ def cmd_model(args) -> int:
     models = run_pipeline(args.pipeline, exp, args.ranks_param)
     report = _model_report(models, exp)
     report["pipeline"] = args.pipeline
-    if args.out:
-        write_document(report, args.out, sort_keys=True)
-    if args.format == "machine":
-        print(json.dumps(report, indent=1, sort_keys=True))
-    elif exp.callpaths:
-        width = max(len(cp.name) for cp, _ in exp.callpaths)
-        for cp, _ in exp.callpaths:
-            model = models[cp.name]
-            print(f"{cp.name:<{width}}  [{_lead_text(model)}]  {render(model)}")
-    else:
-        print("experiment has no call paths")
-    return EXIT_OK
+    return _report(report, args, lambda: _model_table(models, exp))
 
 
 def _study_command(args, study, **options) -> int:
@@ -153,13 +160,7 @@ def _study_command(args, study, **options) -> int:
         jobs=args.jobs,
         **options,
     )
-    if args.out:
-        write_document(table.to_dict(), args.out, sort_keys=True)
-    if args.format == "machine":
-        print(json.dumps(table.to_dict(), indent=1, sort_keys=True))
-    else:
-        print(table.render_text())
-    return EXIT_OK
+    return _report(table.to_dict(), args, table.render_text)
 
 
 def cmd_study_noise(args) -> int:

@@ -2,7 +2,8 @@
 
 Monomial exponents are exact rationals and log exponents are small
 non-negative integers, so model structures can be compared, deduplicated,
-and ordered exactly; floats only enter when a model is evaluated.
+and ordered exactly. Floats enter in one place, `_columns`, which turns
+bases (for `design_matrix`) and terms (for `evaluate`) into value columns.
 
 A skeleton is the coefficient-free counterpart of a model: a list of basis
 functions whose coefficients get fitted later. Basis functions (and terms
@@ -190,43 +191,15 @@ class Skeleton:
         return len(self.bases)
 
 
-def _factor_value(values: Sequence[float], names: Sequence[str], param: str) -> float:
-    x = values[names.index(param)]
-    return (x - 1.0) / x
-
-
-def _check_coordinate(values: Sequence[float], n_params: int) -> None:
-    if len(values) != n_params:
-        raise ValidationError(
-            f"coordinate has {len(values)} values, expected {n_params}"
-        )
-
-
-def evaluate(model: PmnfModel, at: Sequence[float]) -> float:
-    """Evaluate the model at one coordinate (values aligned with names)."""
-    _check_coordinate(at, len(model.space_names))
-    total = model.constant
-    for t in model.terms:
-        v = t.coefficient
-        for x, (i, j) in zip(at, t.exponents):
-            if i:
-                v *= float(x) ** float(i)
-            if j:
-                v *= np.log2(x) ** j
-        if t.ranks_fraction is not None:
-            v *= _factor_value(at, model.space_names, t.ranks_fraction)
-        total += v
-    return float(total)
-
-
 def monomial_values(
-    exponents: Sequence[Expo], coords: np.ndarray, logs: np.ndarray
+    exponents: Sequence[Expo], coords: np.ndarray, logs: np.ndarray, start: float = 1.0
 ) -> np.ndarray:
-    """prod_l x_l^i_l * log2(x_l)^j_l on every row of an (N, m) float array.
+    """start * prod_l x_l^i_l * log2(x_l)^j_l on every row of an (N, m)
+    float array, multiplied left to right.
 
     logs is np.log2(coords), computed once for all monomials on coords.
     """
-    col = np.ones(coords.shape[0])
+    col = np.full(coords.shape[0], start)
     for l, (i, j) in enumerate(exponents):
         if i:
             col = col * coords[:, l] ** float(i)
@@ -235,20 +208,39 @@ def monomial_values(
     return col
 
 
-def design_matrix(skel: Skeleton, coords: np.ndarray) -> np.ndarray:
-    """Design matrix (one row per coordinate) for fitting the skeleton."""
+def _columns(
+    parts: Sequence, names: Sequence[str], coords, starts: Sequence[float]
+) -> np.ndarray:
+    """One column per basis or term (one row per coordinate): start, times
+    the monomial, times ((p - 1.0) / p) for a ranks fraction on p. Dividing
+    first keeps the fraction finite wherever the column is."""
     coords = np.asarray(coords, dtype=float)
-    if coords.ndim != 2 or coords.shape[1] != len(skel.space_names):
+    if coords.ndim != 2 or coords.shape[1] != len(names):
         raise ValidationError("coordinate array does not match parameter count")
     logs = np.log2(coords)
-    a = np.empty((coords.shape[0], len(skel.bases)))
-    for c, b in enumerate(skel.bases):
-        col = monomial_values(b.exponents, coords, logs)
-        if b.ranks_fraction is not None:
-            l = skel.space_names.index(b.ranks_fraction)
-            col = col * (coords[:, l] - 1.0) / coords[:, l]
+    a = np.empty((coords.shape[0], len(parts)))
+    for c, part in enumerate(parts):
+        col = monomial_values(part.exponents, coords, logs, starts[c])
+        if part.ranks_fraction is not None:
+            p = coords[:, names.index(part.ranks_fraction)]
+            col = col * ((p - 1.0) / p)
         a[:, c] = col
     return a
+
+
+def design_matrix(skel: Skeleton, coords: np.ndarray) -> np.ndarray:
+    """Design matrix (one row per coordinate) for fitting the skeleton."""
+    return _columns(skel.bases, skel.space_names, coords, [1.0] * len(skel.bases))
+
+
+def evaluate(model: PmnfModel, at: Sequence[float]) -> float:
+    """Evaluate the model at one coordinate (values aligned with names): the
+    constant plus each term's column, started from its coefficient."""
+    starts = [t.coefficient for t in model.terms]
+    total = model.constant
+    for v in _columns(model.terms, model.space_names, [at], starts)[0]:
+        total += v  # in term order; np.sum would add pairwise
+    return float(total)
 
 
 def leading_from_terms(

@@ -136,11 +136,10 @@ def account_bytes(
     return int(p) * payload, payload
 
 
-def model_effort(exp: ExperimentSet, callpath: str, metric: str) -> PmnfModel:
-    """Model how an effort metric scales, from median-aggregated data."""
-    if metric not in EFFORT_METRIC.values():
-        raise ValidationError(f"{metric!r} is not an effort metric")
-    _, metrics = exp.callpath(callpath)
+def model_effort(exp: ExperimentSet, callpath: str) -> PmnfModel:
+    """Model how the call path's effort metric scales, from its medians."""
+    cp, metrics = exp.callpath(callpath)
+    metric = EFFORT_METRIC[cp.kind]
     if metric not in metrics:
         raise ModelingError(f"call path {callpath!r} lacks metric {metric!r}")
     return search(aggregate(exp.space, metrics[metric]), exp.space)
@@ -158,7 +157,7 @@ def swc_prior(
     cp, _ = exp.callpath(callpath)
     if ranks_param is None:
         ranks_param = exp.space.names[0]
-    effort_model = model_effort(exp, callpath, EFFORT_METRIC[cp.kind])
+    effort_model = model_effort(exp, callpath)
     if cp.kind == KIND_COMPUTATION:
         return derive_computation_prior(effort_model)
     return derive_communication_prior(cp.mpi_op, effort_model, ranks_param)

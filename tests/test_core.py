@@ -7,7 +7,7 @@ from perfprior._core import (
     loo_cv_batch,
     loo_cv_slow,
 )
-from perfprior.modeler import single_param_hypotheses
+from perfprior.modeler import SCORE_FLOOR, single_param_hypotheses
 from perfprior.pmnf import design_matrix
 
 
@@ -15,6 +15,13 @@ def quad_system():
     x = np.array([4.0, 8.0, 16.0, 32.0, 64.0])
     a = np.stack([np.ones_like(x), x**2], axis=1)
     return a, 3 + 0.5 * x**2
+
+
+def huge_column_system():
+    """An exact line whose x column has a sum of squares above 1.8e308."""
+    x = np.array([1.0, 2.0, 4.0, 8.0, 16.0]) * 1e160
+    a = np.stack([np.ones_like(x), x], axis=1)
+    return a, 3 + 2e-160 * x
 
 
 class TestFitOls:
@@ -57,12 +64,22 @@ class TestFitOls:
         assert abs(coef[0] - 3) / 3 < 1e-6
         assert abs(coef[1] - 0.5) / 0.5 < 1e-12
 
+    def test_column_with_overflowing_norm(self):
+        a, y = huge_column_system()
+        coef, _, rank = fit_ols(a, y)
+        assert rank == 2
+        assert coef == pytest.approx([3.0, 2e-160], rel=1e-12)
+
 
 class TestLooCvBatch:
     def test_exact_fit_scores_near_zero(self):
         a, y = quad_system()
         score = loo_cv_batch(a[None], y)[0]
         assert score < 1e-12
+
+    def test_column_with_overflowing_norm_scores_exact(self):
+        a, y = huge_column_system()
+        assert loo_cv_batch(a[None], y)[0] < SCORE_FLOOR
 
     def test_matches_slow_path(self):
         rng = np.random.default_rng(42)

@@ -57,6 +57,15 @@ class TestEvaluate:
         with pytest.raises(ValidationError):
             evaluate(model, (1.0, 2.0))
 
+    def test_ranks_fraction(self):
+        term = Term(2.0, ((F(0), 0), (F(3, 4), 0)), ranks_fraction="p")
+        model = PmnfModel(1.0, (term,), ("p", "n"))
+        assert evaluate(model, (4.0, 16.0)) == 13.0
+        # p * n^(3/4) overflows here; the prediction still reads the column
+        at = (1e200, 1e204)
+        (column,) = design_matrix(skeleton_from_model(model), np.array([at]))[:, 1]
+        assert evaluate(model, at) == 1.0 + 2.0 * column
+
     def test_monotone_in_coefficients(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
@@ -86,6 +95,14 @@ class TestEvaluateBasis:
         )
         values = basis_row(skel, (4.0, 10.0))
         assert values.tolist() == [1.0, 2.0, 30.0]
+
+    def test_ranks_fraction_column_stays_finite(self):
+        # p * n^(3/4) exceeds 1.8e308 although the column stays near 1e153
+        basis = BasisFunction(((F(0), 0), (F(3, 4), 0)), ranks_fraction="p")
+        skel = Skeleton(("p", "n"), (constant_basis(2), basis))
+        p, n = np.array([1e200, 2e200]), np.array([1e204, 2e204])
+        column = design_matrix(skel, np.stack([p, n], axis=1))[:, 1]
+        assert column == pytest.approx(n**0.75 * (1 - 1 / p), rel=1e-14)
 
     def test_constant_only(self):
         skel = Skeleton(("x",), (constant_basis(1),))

@@ -181,7 +181,7 @@ class TestModelEffort:
     def test_bytes_scaling_recovered(self):
         spec = fig2_spec()
         exp = simulate_measurements(spec, reps=1)
-        model = model_effort(exp, "k00/broadcast", "bytes")
+        model = model_effort(exp, "k00/broadcast")
         lead = leading_exponents(model)
         assert lead["n"] == (F(1), 0) and lead["p"] == (F(1), 0)
         oracle = exhaustive_oracle(
@@ -211,7 +211,7 @@ class TestModelEffort:
                 ),
             ),
         )
-        model = model_effort(exp, "b/barrier", "bytes")
+        model = model_effort(exp, "b/barrier")
         assert model.terms == ()
         assert model.constant == 0.0
 
@@ -232,7 +232,7 @@ class TestModelEffort:
                 ),
             ),
         )
-        model = model_effort(exp, "w/loop", "basic_blocks")
+        model = model_effort(exp, "w/loop")
         assert leading_exponents(model)["n"][0] == F(2)
 
     def test_missing_metric_names_callpath(self, pn_space):
@@ -249,7 +249,7 @@ class TestModelEffort:
             ),
         )
         with pytest.raises(ModelingError, match="c/bcast"):
-            model_effort(exp, "c/bcast", "bytes")
+            model_effort(exp, "c/bcast")
 
 
 class TestBuildSwcModel:
