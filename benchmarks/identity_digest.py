@@ -39,11 +39,13 @@ Classes, each hashed over its documents in a fixed order:
   (`truth_by_callpath`) and its noise-free runtime (`true_time`) at
   `next_test_point`, for `random_spec` seeds 0-119 at m = 1, 2, 3 with
   3 kernels;
-- `search`: `render(model)` and the coefficients of `modeler.search` on
+- `search`: `render(model)` and the coefficients of the model
+  `modeler.fit_skeleton_to_time(modeler.search(data, space), data)` on
   3,000 seeded one-parameter datasets: 3-, 5- and 7-point grids, each
   arithmetic or geometric, with exact, noisy (up to +30 %) or constant
   targets; the exact and noisy ones come from a random member of the
-  single-parameter hypothesis family;
+  single-parameter hypothesis family. `search` returns the winning
+  skeleton; this fits it to the same data, as the classic pipeline does;
 - `evaluate`: `pmnf.evaluate` of 3,000 seeded random models (m = 1-3, up
   to three terms, a fifth of them with a (p-1)/p factor) at 4 random
   non-integer coordinates each. The study lines reach `evaluate` only at
@@ -204,7 +206,8 @@ def search_dataset(seed: int):
 def search_digest() -> str:
     digest = hashlib.sha256()
     for seed in range(SEARCH_DATASETS):
-        model = modeler.search(*search_dataset(seed))
+        data, space = search_dataset(seed)
+        model = modeler.fit_skeleton_to_time(modeler.search(data, space), data)
         coefs = [model.constant] + [t.coefficient for t in model.terms]
         line = " ".join([pmnf.render(model)] + [float(c).hex() for c in coefs])
         digest.update(f"{line}\n".encode())

@@ -325,7 +325,7 @@ def _callpaths(
         elif factor == B:
             time_comm = time_comm + c * payload
         else:
-            time_comm = time_comm + c * payload * (p - 1.0) / p
+            time_comm = time_comm + c * payload * ((p - 1.0) / p)
     cp = CallPath(f"{kernel.name}/{op.value}", KIND_COMMUNICATION, op)
     yield cp, terms, time_comm, payload
 
@@ -364,7 +364,7 @@ def simulate_measurements(
         for cp, _, runtime, effort in _callpaths(spec, kernel, coords):
             exact = {METRIC_TIME: runtime, EFFORT_METRIC[cp.kind]: effort}
             callpaths.append((cp, {
-                m: MetricSeries(m, np.repeat(v[:, None], reps, axis=1))
+                m: MetricSeries(np.repeat(v[:, None], reps, axis=1))
                 for m, v in exact.items()
             }))
     exp = ExperimentSet(spec.space, tuple(callpaths))

@@ -124,19 +124,17 @@ class CallPath:
 @dataclass(frozen=True, eq=False)
 class MetricSeries:
     """Measurements of one metric: a row per grid point, a column per repetition.
+    The metric's name is the series' key in its call path's metric dict.
 
     rep_ids label the repetition columns so that derived series (see
     subset_repetitions) remember which original repetitions they carry.
     They are in-memory provenance only and are not serialized.
     """
 
-    metric: str
     data: np.ndarray
     rep_ids: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        if self.metric not in _METRICS:
-            raise ValidationError(f"unknown metric {self.metric!r}")
         try:
             data = np.array(self.data, dtype=float)
         except ValueError as exc:
@@ -153,8 +151,9 @@ class MetricSeries:
         object.__setattr__(self, "rep_ids", rep_ids)
 
     def __eq__(self, other):
-        return isinstance(other, MetricSeries) and (
-            (self.metric, self.rep_ids) == (other.metric, other.rep_ids)
+        return (
+            isinstance(other, MetricSeries)
+            and self.rep_ids == other.rep_ids
             and np.array_equal(self.data, other.data)
         )
 
@@ -181,10 +180,8 @@ class ExperimentSet:
                 raise ValidationError(f"duplicate call path name {cp.name!r}")
             names.add(cp.name)
             for metric, series in metrics.items():
-                if metric != series.metric:
-                    raise ValidationError(
-                        f"metric key {metric!r} does not match series {series.metric!r}"
-                    )
+                if metric not in _METRICS:
+                    raise ValidationError(f"unknown metric {metric!r}")
                 if series.data.shape[0] != points:
                     raise ValidationError(
                         f"incomplete grid for {cp.name!r}/{metric}: "
@@ -244,9 +241,7 @@ def subset_repetitions(series: MetricSeries, indices: Iterable[int]) -> MetricSe
         raise ValidationError(
             f"repetition index out of range 0..{series.repetitions - 1}"
         )
-    return MetricSeries(
-        series.metric, series.data[:, idx], tuple(series.rep_ids[i] for i in idx)
-    )
+    return MetricSeries(series.data[:, idx], tuple(series.rep_ids[i] for i in idx))
 
 
 def require_keys(
@@ -373,7 +368,7 @@ def experiment_from_dict(doc) -> ExperimentSet:
                     f"{off[0]} is off the grid" if off else f"no record at {missing[0]}"
                 )
                 raise ValidationError(f"incomplete grid for {where}: {what}")
-            metrics[metric] = MetricSeries(metric, [data[c] for c in grid])
+            metrics[metric] = MetricSeries([data[c] for c in grid])
         callpaths.append((cp, metrics))
     return ExperimentSet(space, tuple(callpaths))
 

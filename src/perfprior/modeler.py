@@ -141,8 +141,9 @@ def _candidates(space: ParameterSpace, best: Mapping[int, Expo]) -> list[Skeleto
     ]
 
 
-def search(data: Mapping[Coordinate, float], space: ParameterSpace) -> PmnfModel:
-    """Hierarchical search over the full grid; see module docstring."""
+def search(data: Mapping[Coordinate, float], space: ParameterSpace) -> Skeleton:
+    """The winning skeleton of the hierarchical search over the full grid
+    (see module docstring); `fit_skeleton_to_time` fits its coefficients."""
     if space.m not in (1, 2, 3):
         raise ValidationError("hypothesis search supports m in {1, 2, 3}")
     grid = space.grid()
@@ -163,13 +164,12 @@ def search(data: Mapping[Coordinate, float], space: ParameterSpace) -> PmnfModel
         if winner.size > 1:
             best[axis] = winner.bases[1].exponents[0]
 
-    winner = _best(np.array(grid, dtype=float), _candidates(space, best), y[None])
-    return fit_skeleton_to_time(winner, data)
+    return _best(np.array(grid, dtype=float), _candidates(space, best), y[None])
 
 
 def fit_skeleton_to_time(
     skel: Skeleton, time_data: Mapping[Coordinate, float]
 ) -> PmnfModel:
-    """Bind a prior's coefficients to time measurements (structure fixed)."""
+    """Fit a skeleton's coefficients to time measurements (structure fixed)."""
     coef, _ = fit_coefficients(skel, time_data)
     return model_from_skeleton(skel, coef)

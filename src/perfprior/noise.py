@@ -100,7 +100,7 @@ def perturb(
         if not finite.all():
             coord = exp.space.grid()[int(np.argmin(finite))]
             raise PerfPriorError(f"{what} overflows the runtime at {coord}")
-        return MetricSeries(series.metric, out, series.rep_ids)
+        return MetricSeries(out, series.rep_ids)
 
     return exp.with_time(perturb_series)
 

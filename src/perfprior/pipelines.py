@@ -1,13 +1,16 @@
 """End-to-end model construction per call path.
 
-classic: hypothesis search on median-aggregated runtimes alone.
-swc:     effort-derived prior (basic blocks or bytes plus the MPI cost
-         form) fitted to runtimes; structure is fixed by the prior.
+classic: the structure is searched on median-aggregated runtimes alone.
+swc:     the structure is the effort-derived prior (basic blocks or bytes
+         plus the MPI cost form), fixed before any runtime is seen.
 
-A pipeline runs in two steps. `model_structures` fixes what the runtimes
+The pipelines differ only in where the structure comes from; both fit
+its coefficients to the median runtimes through one call,
+`priors.fit_skeleton_to_time`. `model_structures` fixes what the runtimes
 cannot change: nothing under classic, each call path's prior under SWC.
-`fit_models` fits one experiment's runtimes against those structures. A
-study takes the first step once and the second once per trial.
+`fit_models` searches the structures left open on one experiment's
+runtimes and fits every call path. A study takes the first step once and
+the second once per trial.
 """
 
 from __future__ import annotations
@@ -54,19 +57,17 @@ def fit_models(
     exp: ExperimentSet, structures: Mapping[str, Skeleton | None]
 ) -> dict[str, PmnfModel]:
     """One model per call path, in the experiment's call-path order, from
-    its median runtimes: a search where the structure is None, the prior's
-    coefficients otherwise. The prior fixes the structure, so the leading
-    exponents of an SWC model do not depend on the runtimes."""
+    its median runtimes: the given structure, or the one searched on the
+    runtimes where it is None, with fitted coefficients. A prior fixes the
+    structure, so the leading exponents of an SWC model do not depend on
+    the runtimes."""
     models = {}
     for cp, metrics in exp.callpaths:
         prior = structures[cp.name]
         with _modeling_failure("classic" if prior is None else "SWC", cp.name):
             time_data = aggregate(exp.space, metrics[METRIC_TIME])
-            models[cp.name] = (
-                search(time_data, exp.space)
-                if prior is None
-                else priors.fit_skeleton_to_time(prior, time_data)
-            )
+            structure = search(time_data, exp.space) if prior is None else prior
+            models[cp.name] = priors.fit_skeleton_to_time(structure, time_data)
     return models
 
 

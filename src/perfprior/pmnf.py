@@ -335,13 +335,3 @@ def model_from_skeleton(
     ]
     return PmnfModel(float(coefficients[0]), tuple(terms), skel.space_names)
 
-
-def skeleton_from_model(model: PmnfModel) -> Skeleton:
-    """Strip coefficients from a model, keeping its structure."""
-    # PmnfModel rejects repeated term structures, and no term has the
-    # constant's signature, so every basis is distinct
-    bases = (constant_basis(len(model.space_names)),) + tuple(
-        BasisFunction(t.exponents, t.ranks_fraction)
-        for t in sorted(model.terms, key=Term.signature)
-    )
-    return Skeleton(model.space_names, bases)

@@ -1,9 +1,10 @@
 """Noise-resilient dynamic priors from effort metrics.
 
-Computation priors keep the exponents of the basic-block model and drop
-its coefficients. Communication priors embed the transferred-bytes model B
-into the standard cost forms of MPI operations (latency alpha, per-byte
-transfer beta, per-byte computation gamma):
+The effort search selects a structure and fits no coefficients. Computation
+priors keep the bases of the basic-block structure. Communication priors
+embed the transferred-bytes structure B into the standard cost forms of MPI
+operations (latency alpha, per-byte transfer beta, per-byte computation
+gamma):
 
     send/receive        alpha + B beta
     broadcast           log2(p) alpha + B beta
@@ -16,7 +17,7 @@ transfer beta, per-byte computation gamma):
 simulated runtimes, the ground-truth log term and the byte accounting all
 read it. Barrier carries no payload; its log2(p) latency form follows the
 same tree-transfer argument as the collectives and is our extension. The
-constant of the bytes model is dropped when forming B terms: a constant
+constant of the bytes structure is dropped when forming B terms: a constant
 payload is absorbed by the skeleton's constant and latency bases.
 """
 
@@ -43,7 +44,6 @@ from .pmnf import (
     PmnfModel,
     Skeleton,
     constant_basis,
-    skeleton_from_model,
 )
 
 # The factors a cost-form coefficient multiplies.
@@ -71,17 +71,19 @@ def has_factor(op: MpiOp, *factors: str) -> bool:
     return any(factor in factors for factor, _ in COST_FORMS[op])
 
 
-def derive_computation_prior(bb_model: PmnfModel) -> Skeleton:
-    """Constant basis plus one basis per basic-block-model term."""
-    return skeleton_from_model(bb_model)
+def derive_computation_prior(bb_structure: Skeleton) -> Skeleton:
+    """The basic-block structure's bases, the constant first and the rest
+    in signature order, with generic labels."""
+    rest = sorted(bb_structure.bases[1:], key=BasisFunction.signature)
+    return Skeleton(bb_structure.space_names, bb_structure.bases[:1] + tuple(rest))
 
 
 def derive_communication_prior(
-    op: MpiOp | str, bytes_model: PmnfModel, ranks_param: str
+    op: MpiOp | str, bytes_structure: Skeleton, ranks_param: str
 ) -> Skeleton:
-    """Embed the bytes model's structural terms into the op's cost form."""
+    """Embed the bytes structure's non-constant bases into the op's cost form."""
     op = MpiOp(op)
-    names = bytes_model.space_names
+    names = bytes_structure.space_names
     if ranks_param not in names:
         raise ValidationError(f"ranks parameter {ranks_param!r} not in space")
     n = len(names)
@@ -90,7 +92,8 @@ def derive_communication_prior(
     log_exps: list = [(Fraction(0), 0)] * n
     log_exps[ranks_axis] = (Fraction(0), 1)
     b_exps = [
-        t.exponents for t in sorted(bytes_model.terms, key=lambda t: t.signature())
+        b.exponents
+        for b in sorted(bytes_structure.bases[1:], key=BasisFunction.signature)
     ]
 
     bases: list[BasisFunction] = [constant_basis(n)]
@@ -136,8 +139,9 @@ def account_bytes(
     return int(p) * payload, payload
 
 
-def model_effort(exp: ExperimentSet, callpath: str) -> PmnfModel:
-    """Model how the call path's effort metric scales, from its medians."""
+def model_effort(exp: ExperimentSet, callpath: str) -> Skeleton:
+    """The structure of the call path's effort metric, searched on its
+    medians; no coefficients are fitted."""
     cp, metrics = exp.callpath(callpath)
     metric = EFFORT_METRIC[cp.kind]
     if metric not in metrics:
@@ -157,10 +161,10 @@ def swc_prior(
     cp, _ = exp.callpath(callpath)
     if ranks_param is None:
         ranks_param = exp.space.names[0]
-    effort_model = model_effort(exp, callpath)
+    effort = model_effort(exp, callpath)
     if cp.kind == KIND_COMPUTATION:
-        return derive_computation_prior(effort_model)
-    return derive_communication_prior(cp.mpi_op, effort_model, ranks_param)
+        return derive_computation_prior(effort)
+    return derive_communication_prior(cp.mpi_op, effort, ranks_param)
 
 
 def build_swc_model(

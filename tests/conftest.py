@@ -11,7 +11,14 @@ from perfprior.benchgen import BenchmarkSpec, KernelSpec
 from perfprior.dataset import MpiOp, ParameterSpace
 from perfprior.errors import ValidationError
 from perfprior.evaluation import deviation_from_truth
-from perfprior.pmnf import BasisFunction, PmnfModel, Term, leading_exponents
+from perfprior.pmnf import (
+    BasisFunction,
+    PmnfModel,
+    Skeleton,
+    Term,
+    leading_exponents,
+    leading_from_terms,
+)
 
 # At collection, hypothesis's pytest plugin caches constants of the source
 # modules under its home directory, ./.hypothesis by default, whatever a
@@ -63,6 +70,15 @@ def model_from_expos(names, *term_expos) -> PmnfModel:
         )
         terms.append(Term(1.0, pairs))
     return PmnfModel(0.0, tuple(terms), tuple(names))
+
+
+def skeleton_lead(skel: Skeleton) -> dict:
+    """Leading exponents of a structure: what `leading_exponents` gives for
+    any model fitted to it."""
+    lead = leading_from_terms(
+        (b.exponents for b in skel.bases[1:]), len(skel.space_names)
+    )
+    return dict(zip(skel.space_names, lead))
 
 
 def exponent_deviation(m1: PmnfModel, m2: PmnfModel) -> dict[str, Fraction]:

@@ -31,7 +31,7 @@ from perfprior.evaluation import (
     noise_robustness_study,
     repetition_study,
 )
-from perfprior.modeler import search
+from perfprior.modeler import fit_skeleton_to_time, search
 from perfprior.pipelines import run_pipeline
 from perfprior.pmnf import (
     BasisFunction,
@@ -42,7 +42,6 @@ from perfprior.pmnf import (
     leading_exponents,
 )
 from perfprior.priors import account_bytes, derive_communication_prior
-from perfprior.pmnf import PmnfModel, Term
 
 F = Fraction
 
@@ -138,7 +137,8 @@ def test_criterion_3_coefficient_recovery():
         a = design_matrix(skel, np.array(x)[:, None])
         true = _contribution_scaled_targets(rng, a)
         data = {(v,): float(t) for v, t in zip(x, a @ true)}
-        model = search(data, ParameterSpace(("x",), (x,)))
+        x_space = ParameterSpace(("x",), (x,))
+        model = fit_skeleton_to_time(search(data, x_space), data)
         assert len(model.terms) == 1
         assert model.terms[0].exponents == (expo,)
         got = np.array([model.constant, model.terms[0].coefficient])
@@ -170,7 +170,7 @@ def test_criterion_3_coefficient_recovery():
         a = design_matrix(skel, coords)
         true = _contribution_scaled_targets(rng, a)
         data = {tuple(c): float(v) for c, v in zip(space.grid(), a @ true)}
-        model = search(data, space)
+        model = fit_skeleton_to_time(search(data, space), data)
         assert {t.exponents for t in model.terms} == {
             b.exponents for b in bases[1:]
         }, (shape, t_p, t_n)
@@ -214,7 +214,7 @@ def test_criterion_4_oracle_equivalence():
             y = y * (1.0 + 0.2 * rng.uniform(0, 1, size=len(y)))
         data = {(v,): float(t) for v, t in zip(x, y)}
         x_space = ParameterSpace(("x",), (x,))
-        got = search(data, x_space)
+        got = fit_skeleton_to_time(search(data, x_space), data)
         want = exhaustive_oracle(data, "single", x_space)
         same = (
             leading_exponents(got) == leading_exponents(want)
@@ -244,7 +244,7 @@ def test_criterion_4_oracle_equivalence():
         if rng.random() < 0.5:
             y = y * (1.0 + 0.1 * rng.uniform(0, 1, size=len(y)))
         data = {tuple(c): float(v) for c, v in zip(space.grid(), y)}
-        got = search(data, space)
+        got = fit_skeleton_to_time(search(data, space), data)
         want = exhaustive_oracle(data, "multi_restricted", space)
         same = (
             leading_exponents(got) == leading_exponents(want)
@@ -262,12 +262,12 @@ def test_criterion_5_cost_form_conformance():
     names = ("p", "n")
     n_term = ((F(0), 0), (F(1), 0))
     log_p = ((F(0), 1), (F(0), 0))
-    bytes_model = PmnfModel(16.0, (Term(4.0, n_term),), names)
 
     def b(exps, frac=None):
         return BasisFunction(exps, ranks_fraction=frac)
 
     const = constant_basis(2)
+    bytes_structure = Skeleton(names, (const, b(n_term)))
     expected = {
         MpiOp.SEND: (const, b(n_term)),
         MpiOp.RECEIVE: (const, b(n_term)),
@@ -280,7 +280,7 @@ def test_criterion_5_cost_form_conformance():
         MpiOp.BARRIER: (const, b(log_p)),
     }
     for op, bases in expected.items():
-        prior = derive_communication_prior(op, bytes_model, "p")
+        prior = derive_communication_prior(op, bytes_structure, "p")
         assert prior.bases == bases, op
 
     assert account_bytes("broadcast", 10, 4, 4) == (160, 40)

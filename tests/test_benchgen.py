@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -20,7 +21,7 @@ from perfprior.benchgen import (
     true_time,
     truth_by_callpath,
 )
-from perfprior.dataset import EFFORT_METRIC, MpiOp
+from perfprior.dataset import EFFORT_METRIC, MpiOp, ParameterSpace
 from perfprior.errors import ParseError, ValidationError
 from perfprior.pmnf import BasisFunction, Term, monomial_values
 from perfprior.priors import account_bytes
@@ -250,6 +251,18 @@ class TestSimulate:
         comm = truth_by_callpath(spec)[f"c00/{op.value}"]
         assert comm["p"] == ((F(0), 1) if has_log else (F(0), 0))
         assert comm["n"] == ((F(1), 0) if payload else (F(0), 0))
+
+    def test_ranks_fraction_runtime_stays_finite(self):
+        # payload * (p - 1) overflows at these values; the runtime does not
+        spec = random_spec(3, 2, 1)
+        assert spec.kernels[0].mpi_op == MpiOp.SCATTER
+        values = tuple(tuple(v * 1e150 for v in vs) for vs in spec.space.values)
+        big = dataclasses.replace(
+            spec, space=ParameterSpace(spec.space.names, values)
+        )
+        exp = simulate_measurements(big, reps=1)
+        times = exp.callpath("k00/scatter")[1]["time_s"].data
+        assert np.isfinite(times).all() and times.min() > 0
 
     def test_invalid_args(self):
         with pytest.raises(ValidationError):

@@ -236,8 +236,8 @@ class TestModel:
         p = [v * 1e100 for v in (1.0, 2.0, 4.0, 8.0, 16.0)]
         effort = EFFORT_METRIC[KIND_COMPUTATION]
         metrics = {
-            METRIC_TIME: MetricSeries(METRIC_TIME, [[1e-90 * v] for v in p]),
-            effort: MetricSeries(effort, [[v] for v in p]),
+            METRIC_TIME: MetricSeries([[1e-90 * v] for v in p]),
+            effort: MetricSeries([[v] for v in p]),
         }
         exp = ExperimentSet(
             ParameterSpace(("p",), (p,)), ((CallPath("a", KIND_COMPUTATION), metrics),)

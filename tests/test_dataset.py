@@ -28,8 +28,8 @@ def small_experiment(reps=5):
             (
                 cp,
                 {
-                    "time_s": MetricSeries("time_s", time),
-                    "basic_blocks": MetricSeries("basic_blocks", bb),
+                    "time_s": MetricSeries(time),
+                    "basic_blocks": MetricSeries(bb),
                 },
             ),
         ),
@@ -185,15 +185,15 @@ X_SPACE = ParameterSpace(("x",), ((2.0, 4.0),))
 
 class TestAggregate:
     def test_median_odd(self):
-        s = MetricSeries("time_s", [(3.0, 1.0, 2.0), (7.0, 7.0, 7.0)])
+        s = MetricSeries([(3.0, 1.0, 2.0), (7.0, 7.0, 7.0)])
         assert aggregate(X_SPACE, s) == {(2.0,): 2.0, (4.0,): 7.0}
 
     def test_singleton_all_stats(self):
-        s = MetricSeries("time_s", [(5.0,), (6.0,)])
+        s = MetricSeries([(5.0,), (6.0,)])
         assert aggregate(X_SPACE, s) == {(2.0,): 5.0, (4.0,): 6.0}
 
     def test_median_even_is_mean_of_middles(self):
-        s = MetricSeries("time_s", [(1.0, 2.0, 3.0, 10.0), (1.0, 1.0, 1.0, 1.0)])
+        s = MetricSeries([(1.0, 2.0, 3.0, 10.0), (1.0, 1.0, 1.0, 1.0)])
         assert aggregate(X_SPACE, s) == {(2.0,): 2.5, (4.0,): 1.0}
 
     def test_median_permutation_invariant(self):
@@ -201,7 +201,7 @@ class TestAggregate:
 
         reps = (4.0, 1.0, 3.0, 2.0, 9.0)
         medians = {
-            aggregate(X_SPACE, MetricSeries("time_s", [perm, perm]))[(2.0,)]
+            aggregate(X_SPACE, MetricSeries([perm, perm]))[(2.0,)]
             for perm in itertools.permutations(reps)
         }
         assert medians == {3.0}
@@ -251,14 +251,14 @@ class TestExperimentValidation:
 
     def test_series_must_cover_grid(self):
         space = ParameterSpace(("p",), ((2.0, 4.0),))
-        series = MetricSeries("time_s", [(1.0,)])
+        series = MetricSeries([(1.0,)])
         with pytest.raises(ValidationError, match="incomplete grid"):
             ExperimentSet(space, ((CallPath("x", "computation"), {"time_s": series}),))
 
     @pytest.mark.parametrize("value", [float("inf"), float("nan")])
     def test_non_finite_measurement_names_its_coordinate(self, value):
         space = ParameterSpace(("p",), ((2.0, 4.0),))
-        series = MetricSeries("time_s", [(1.0, 1.0), (1.0, value)])
+        series = MetricSeries([(1.0, 1.0), (1.0, value)])
         with pytest.raises(ValidationError, match=r"non-finite .* at \(4\.0,\)"):
             ExperimentSet(space, ((CallPath("x", "computation"), {"time_s": series}),))
 
@@ -269,19 +269,26 @@ class TestExperimentValidation:
 
     def test_time_metric_required(self):
         space = ParameterSpace(("p",), ((2.0, 4.0),))
-        bb = MetricSeries("basic_blocks", [(1.0,), (1.0,)])
+        bb = MetricSeries([(1.0,), (1.0,)])
         with pytest.raises(ValidationError, match="time_s"):
             ExperimentSet(
                 space, ((CallPath("x", "computation"), {"basic_blocks": bb}),)
             )
 
+    def test_unknown_metric_key_rejected(self):
+        space = ParameterSpace(("p",), ((2.0, 4.0),))
+        series = MetricSeries([(1.0,), (1.0,)])
+        metrics = {"time_s": series, "cycles": series}
+        with pytest.raises(ValidationError, match="unknown metric 'cycles'"):
+            ExperimentSet(space, ((CallPath("x", "computation"), metrics),))
+
     def test_unequal_rep_lengths_rejected(self):
         with pytest.raises(ValidationError, match="unequal repetition counts"):
-            MetricSeries("time_s", [(1.0,), (1.0, 2.0)])
+            MetricSeries([(1.0,), (1.0, 2.0)])
 
     def test_non_numeric_measurement_rejected(self):
         with pytest.raises(ValidationError, match="a non-number"):
-            MetricSeries("time_s", [("fast",), (1.0,)])
+            MetricSeries([("fast",), (1.0,)])
 
     def test_unequal_rep_lengths_in_file_rejected(self, tmp_path):
         doc = experiment_to_dict(small_experiment())

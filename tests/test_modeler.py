@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import skeleton_lead
 from oracle import cv_score, exhaustive_oracle
 from perfprior.dataset import ParameterSpace
 from perfprior.errors import InsufficientDataError, ValidationError
@@ -105,7 +106,7 @@ class TestHypothesisFamily:
 class TestSearchSingle:
     def test_exact_quadratic(self):
         data = one_param_data(lambda x: 3 + 0.5 * x**2)
-        model = search(data, X_SPACE)
+        model = fit_skeleton_to_time(search(data, X_SPACE), data)
         assert leading_exponents(model)["x"] == (F(2), 0)
         assert abs(model.constant - 3) / 3 < 1e-6
         assert abs(model.terms[0].coefficient - 0.5) / 0.5 < 1e-6
@@ -113,14 +114,15 @@ class TestSearchSingle:
         assert leading_exponents(oracle) == leading_exponents(model)
 
     def test_constant_data_prefers_fewer_terms(self):
-        model = search(one_param_data(lambda x: 7.0), X_SPACE)
+        data = one_param_data(lambda x: 7.0)
+        model = fit_skeleton_to_time(search(data, X_SPACE), data)
         assert model.terms == ()
         assert model.constant == pytest.approx(7.0)
 
     def test_pure_log(self):
         data = one_param_data(lambda x: 2 * np.log2(x))
-        model = search(data, X_SPACE)
-        assert leading_exponents(model)["x"] == (F(0), 1)
+        skel = search(data, X_SPACE)
+        assert skeleton_lead(skel)["x"] == (F(0), 1)
 
     def test_needs_three_distinct_values(self):
         # with two values, every LOO fold of a two-basis line is underdetermined
@@ -143,23 +145,23 @@ class TestFloorTies:
     """
 
     def test_offset_above_the_floor_keeps_the_term(self):
-        model = search(one_param_data(lambda x: 1e9 + x), X_SPACE)
-        assert [t.exponents for t in model.terms] == [((F(1), 0),)]
+        skel = search(one_param_data(lambda x: 1e9 + x), X_SPACE)
+        assert [b.exponents for b in skel.bases[1:]] == [((F(1), 0),)]
 
     def test_every_score_below_the_floor_gives_the_constant(self):
-        model = search(one_param_data(lambda x: 1e15 + x), X_SPACE)
-        assert model.terms == ()
+        skel = search(one_param_data(lambda x: 1e15 + x), X_SPACE)
+        assert skel.bases[1:] == ()
 
     def test_two_parameters_below_the_floor_give_the_constant(self):
         space = ParameterSpace(("p", "n"), (X5, X5))
-        model = search({c: 1e15 + c[0] * c[1] for c in space.grid()}, space)
-        assert model.terms == ()
+        skel = search({c: 1e15 + c[0] * c[1] for c in space.grid()}, space)
+        assert skel.bases[1:] == ()
 
 
 class TestSearchMulti:
     def test_exact_bilinear(self, pn_space):
         data = {c: 1 + 0.5 * c[1] * c[0] for c in pn_space.grid()}
-        model = search(data, pn_space)
+        model = fit_skeleton_to_time(search(data, pn_space), data)
         lead = leading_exponents(model)
         assert lead["p"] == (F(1), 0) and lead["n"] == (F(1), 0)
         assert len(model.terms) == 1
@@ -169,8 +171,7 @@ class TestSearchMulti:
     def test_worked_example_shape(self, pn_space):
         # computation shape O(n + n*p)
         data = {c: 2.0 + 3e-4 * c[1] + 5e-7 * c[1] * c[0] for c in pn_space.grid()}
-        model = search(data, pn_space)
-        lead = leading_exponents(model)
+        lead = skeleton_lead(search(data, pn_space))
         assert lead["n"][0] == F(1)
         assert lead["p"][0] == F(1)
         oracle = exhaustive_oracle(data, "multi_restricted", pn_space)
@@ -178,7 +179,7 @@ class TestSearchMulti:
 
     def test_constant(self, pn_space):
         data = {c: 42.0 for c in pn_space.grid()}
-        model = search(data, pn_space)
+        model = fit_skeleton_to_time(search(data, pn_space), data)
         assert model.terms == ()
         assert model.constant == pytest.approx(42.0)
 
@@ -244,8 +245,8 @@ def _matches_multi_oracle(y, space):
     got = search(data, space)
     want = exhaustive_oracle(data, "multi_restricted", space)
     return (
-        leading_exponents(got) == leading_exponents(want)
-        and len(got.terms) == len(want.terms)
+        skeleton_lead(got) == leading_exponents(want)
+        and len(got.bases) - 1 == len(want.terms)
     )
 
 
@@ -260,8 +261,8 @@ class TestOracleEquivalence:
             got = search(data, space)
             want = exhaustive_oracle(data, "single", space)
             if (
-                len(got.terms) == len(want.terms)
-                and leading_exponents(got) == leading_exponents(want)
+                len(got.bases) - 1 == len(want.terms)
+                and skeleton_lead(got) == leading_exponents(want)
             ):
                 matches += 1
         assert matches == 100

@@ -3,8 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import fig2_spec
+from conftest import fig2_spec, skeleton_lead
 from oracle import exhaustive_oracle
+from perfprior import modeler
 from perfprior.benchgen import simulate_measurements
 from perfprior.dataset import MpiOp
 from perfprior.errors import ModelingError, ValidationError
@@ -15,8 +16,7 @@ from perfprior.pmnf import (
     GAMMA,
     GENERIC,
     BasisFunction,
-    PmnfModel,
-    Term,
+    Skeleton,
     constant_basis,
     leading_exponents,
 )
@@ -26,6 +26,7 @@ from perfprior.priors import (
     derive_communication_prior,
     derive_computation_prior,
     model_effort,
+    swc_prior,
 )
 
 F = Fraction
@@ -33,27 +34,28 @@ F = Fraction
 PN = ("p", "n")
 
 
-def bb_model_n_np():
+def bb_structure_n_np():
     # c1 + c2*n + c3*n*p
-    return PmnfModel(
-        2.0,
-        (
-            Term(3.0, ((F(0), 0), (F(1), 0))),
-            Term(4.0, ((F(1), 0), (F(1), 0))),
-        ),
+    return Skeleton(
         PN,
+        (
+            constant_basis(2),
+            BasisFunction(((F(0), 0), (F(1), 0))),
+            BasisFunction(((F(1), 0), (F(1), 0))),
+        ),
     )
 
 
-def bytes_model(*term_expos):
-    return PmnfModel(
-        16.0, tuple(Term(4.0, e) for e in term_expos), PN
+def skeleton_of(*basis_expos):
+    """The constant plus one generic basis per exponent tuple."""
+    return Skeleton(
+        PN, (constant_basis(2),) + tuple(BasisFunction(e) for e in basis_expos)
     )
 
 
 class TestComputationPrior:
     def test_strips_coefficients_keeps_structure(self):
-        skel = derive_computation_prior(bb_model_n_np())
+        skel = derive_computation_prior(bb_structure_n_np())
         assert skel.bases[0].is_constant
         assert {b.exponents for b in skel.bases[1:]} == {
             ((F(0), 0), (F(1), 0)),
@@ -62,22 +64,32 @@ class TestComputationPrior:
         assert set(skel.labels) == {GENERIC}
 
     def test_constant_model_gives_constant_skeleton(self):
-        skel = derive_computation_prior(PmnfModel(9.0, (), PN))
+        skel = derive_computation_prior(Skeleton(PN, (constant_basis(2),)))
         assert len(skel.bases) == 1
 
     def test_single_term(self):
-        model = PmnfModel(1.0, (Term(2.0, ((F(0), 0), (F(1), 0))),), PN)
-        skel = derive_computation_prior(model)
+        skel = derive_computation_prior(skeleton_of(((F(0), 0), (F(1), 0))))
         assert len(skel.bases) == 2
 
     def test_idempotent_structure(self):
-        skel = derive_computation_prior(bb_model_n_np())
-        refit = PmnfModel(
-            0.5,
-            tuple(Term(1.0, b.exponents) for b in skel.bases[1:]),
-            PN,
-        )
+        skel = derive_computation_prior(bb_structure_n_np())
+        refit = skeleton_of(*(b.exponents for b in skel.bases[1:]))
         assert derive_computation_prior(refit).bases == skel.bases
+
+    def test_bases_in_signature_order(self):
+        n, np_, log = (
+            ((F(0), 0), (F(1), 0)),
+            ((F(1), 0), (F(1), 0)),
+            ((F(0), 1), (F(0), 0)),
+        )
+        skel = derive_computation_prior(skeleton_of(np_, log, n))
+        assert skel.bases == (
+            constant_basis(2),
+            BasisFunction(log),
+            BasisFunction(n),
+            BasisFunction(np_),
+        )
+        assert set(skel.labels) == {GENERIC}
 
 
 def log_p():
@@ -87,7 +99,7 @@ def log_p():
 class TestCommunicationPrior:
     def test_broadcast(self):
         prior = derive_communication_prior(
-            "broadcast", bytes_model(((F(1), 0), (F(1), 0))), "p"
+            "broadcast", skeleton_of(((F(1), 0), (F(1), 0))), "p"
         )
         assert prior.bases == (
             constant_basis(2),
@@ -98,7 +110,7 @@ class TestCommunicationPrior:
 
     def test_reduce_keeps_beta_and_gamma(self):
         prior = derive_communication_prior(
-            MpiOp.REDUCE, bytes_model(((F(0), 0), (F(1), 0))), "p"
+            MpiOp.REDUCE, skeleton_of(((F(0), 0), (F(1), 0))), "p"
         )
         n_term = ((F(0), 0), (F(1), 0))
         assert prior.bases == (
@@ -111,7 +123,7 @@ class TestCommunicationPrior:
 
     def test_scatter_applies_ranks_fraction(self):
         prior = derive_communication_prior(
-            "scatter", bytes_model(((F(0), 0), (F(1), 0))), "p"
+            "scatter", skeleton_of(((F(0), 0), (F(1), 0))), "p"
         )
         assert prior.bases == (
             constant_basis(2),
@@ -120,13 +132,13 @@ class TestCommunicationPrior:
         )
 
     def test_barrier_is_latency_only(self):
-        prior = derive_communication_prior("barrier", PmnfModel(0.0, (), PN), "p")
+        prior = derive_communication_prior("barrier", skeleton_of(), "p")
         assert prior.bases == (constant_basis(2), log_p())
         assert prior.labels == (GENERIC, ALPHA)
 
     def test_send_merges_alpha_into_constant(self):
         prior = derive_communication_prior(
-            "send", bytes_model(((F(0), 0), (F(1), 0))), "p"
+            "send", skeleton_of(((F(0), 0), (F(1), 0))), "p"
         )
         assert prior.bases == (
             constant_basis(2),
@@ -137,14 +149,14 @@ class TestCommunicationPrior:
     def test_duplicate_log_term_collapses(self):
         # bytes that scale as log2(p) themselves
         prior = derive_communication_prior(
-            "broadcast", bytes_model(((F(0), 1), (F(0), 0))), "p"
+            "broadcast", skeleton_of(((F(0), 1), (F(0), 0))), "p"
         )
         assert prior.bases == (constant_basis(2), log_p())
         assert prior.labels == (GENERIC, ALPHA)
 
     def test_unknown_ranks_param_rejected(self):
         with pytest.raises(ValidationError):
-            derive_communication_prior("broadcast", bytes_model(), "q")
+            derive_communication_prior("broadcast", skeleton_of(), "q")
 
 
 class TestAccountBytes:
@@ -181,8 +193,7 @@ class TestModelEffort:
     def test_bytes_scaling_recovered(self):
         spec = fig2_spec()
         exp = simulate_measurements(spec, reps=1)
-        model = model_effort(exp, "k00/broadcast")
-        lead = leading_exponents(model)
+        lead = skeleton_lead(model_effort(exp, "k00/broadcast"))
         assert lead["n"] == (F(1), 0) and lead["p"] == (F(1), 0)
         oracle = exhaustive_oracle(
             {
@@ -205,13 +216,15 @@ class TestModelEffort:
                 (
                     CallPath("b/barrier", "communication", "barrier"),
                     {
-                        "time_s": MetricSeries("time_s", times),
-                        "bytes": MetricSeries("bytes", zeros),
+                        "time_s": MetricSeries(times),
+                        "bytes": MetricSeries(zeros),
                     },
                 ),
             ),
         )
-        model = model_effort(exp, "b/barrier")
+        structure = model_effort(exp, "b/barrier")
+        zero_medians = dict.fromkeys(pn_space.grid(), 0.0)
+        model = modeler.fit_skeleton_to_time(structure, zero_medians)
         assert model.terms == ()
         assert model.constant == 0.0
 
@@ -226,14 +239,13 @@ class TestModelEffort:
                 (
                     CallPath("w/loop", "computation"),
                     {
-                        "time_s": MetricSeries("time_s", times),
-                        "basic_blocks": MetricSeries("basic_blocks", bb),
+                        "time_s": MetricSeries(times),
+                        "basic_blocks": MetricSeries(bb),
                     },
                 ),
             ),
         )
-        model = model_effort(exp, "w/loop")
-        assert leading_exponents(model)["n"][0] == F(2)
+        assert skeleton_lead(model_effort(exp, "w/loop"))["n"][0] == F(2)
 
     def test_missing_metric_names_callpath(self, pn_space):
         from perfprior.dataset import CallPath, ExperimentSet, MetricSeries
@@ -244,12 +256,27 @@ class TestModelEffort:
             (
                 (
                     CallPath("c/bcast", "communication", "broadcast"),
-                    {"time_s": MetricSeries("time_s", times)},
+                    {"time_s": MetricSeries(times)},
                 ),
             ),
         )
         with pytest.raises(ModelingError, match="c/bcast"):
             model_effort(exp, "c/bcast")
+
+
+class TestSwcPrior:
+    def test_structures_need_no_effort_fit(self, monkeypatch):
+        def no_fit(*args):
+            raise AssertionError("the effort search fitted coefficients")
+
+        monkeypatch.setattr(modeler, "fit_coefficients", no_fit)
+        exp = simulate_measurements(fig2_spec(), reps=1)
+        n, np_ = ((F(0), 0), (F(1), 0)), ((F(1), 0), (F(1), 0))
+        comp = swc_prior(exp, "k00/compute")
+        assert comp.bases == (constant_basis(2), BasisFunction(n), BasisFunction(np_))
+        comm = swc_prior(exp, "k00/broadcast")
+        assert comm.bases == (constant_basis(2), log_p(), BasisFunction(np_))
+        assert comm.labels == (GENERIC, ALPHA, BETA)
 
 
 class TestBuildSwcModel:
