@@ -38,26 +38,24 @@ def column_scaled(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a / norms[..., None, :], norms
 
 
-def fit_ols(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, int]:
+def fit_ols(a: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Least-squares coefficients for a (N, k) design matrix.
 
     Full-rank systems are solved column-scaled with iterative refinement
     (extended-precision residuals), which keeps small coefficients accurate
     next to terms that are many orders of magnitude larger. Rank-deficient
     systems return the minimum-norm solution in the original coordinates.
-    Returns (coefficients, rss, rank); an overflowed (non-finite) design
-    gives NaN coefficients without reaching LAPACK, which rejects it.
+    An overflowed (non-finite) design gives NaN coefficients without
+    reaching LAPACK, which rejects it.
     """
     a = np.asarray(a, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if not np.isfinite(a).all():
-        return np.full(a.shape[1], np.nan), np.nan, 0
+        return np.full(a.shape[1], np.nan)
     scaled, norms = column_scaled(a)
     coef_s, _, rank, _ = np.linalg.lstsq(scaled, y, rcond=None)
     if rank < a.shape[1]:
-        coef, _, _, _ = np.linalg.lstsq(a, y, rcond=None)
-        rss = float(np.sum((a @ coef - y) ** 2))
-        return coef, rss, int(rank)
+        return np.linalg.lstsq(a, y, rcond=None)[0]
     # residuals against the original matrix, rescaled in extended precision:
     # the double rounding of `scaled` is exactly the error being refined away
     a_ld = a.astype(np.longdouble) / norms.astype(np.longdouble)
@@ -74,9 +72,7 @@ def fit_ols(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, int]:
         norm = float(np.sqrt(np.sum(residual * residual)))
         if norm < best_norm:
             best, best_norm = current, norm
-    coef = np.asarray(best / norms.astype(np.longdouble), dtype=np.float64)
-    rss = float(np.sum((a @ coef - y) ** 2))
-    return coef, rss, int(rank)
+    return np.asarray(best / norms.astype(np.longdouble), dtype=np.float64)
 
 
 def _loo_error(pred: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -54,6 +54,7 @@ from .pmnf import (
     Expo,
     Term,
     default_exponent_sets,
+    expo_to_json,
     leading_from_terms,
     monomial_values,
 )
@@ -263,8 +264,6 @@ def _draw_kernel(
 
 def random_spec(seed: int, m: int, n_kernels: int = 1) -> BenchmarkSpec:
     """Seeded random benchmark spec; identical seeds give identical specs."""
-    if m not in (1, 2, 3):
-        raise ValidationError("supported parameter counts: m in {1, 2, 3}")
     if n_kernels < 1:
         raise ValidationError("n_kernels must be >= 1")
     if seed < 0:
@@ -385,10 +384,6 @@ def true_time(spec: BenchmarkSpec, callpath: str, coordinate: Coordinate) -> flo
 # --- spec files ---------------------------------------------------------------
 
 
-def _expo_to_json(exps: Sequence[Expo]) -> list:
-    return [[str(i), j] for i, j in exps]
-
-
 def _monomial_from_json(value, where: str) -> Fraction:
     """A monomial exponent is a string such as "3/2" within float range."""
     if not isinstance(value, str):
@@ -421,7 +416,7 @@ def spec_to_dict(spec: BenchmarkSpec) -> dict:
                 "loop_arrangement": k.loop_arrangement,
                 "computation_terms": [
                     {
-                        "exponents": _expo_to_json(t.exponents),
+                        "exponents": expo_to_json(t.exponents),
                         "coefficient": t.coefficient,
                     }
                     for t in k.computation_terms
@@ -429,7 +424,7 @@ def spec_to_dict(spec: BenchmarkSpec) -> dict:
                 "mpi_op": None if k.mpi_op is None else k.mpi_op.value,
                 "message_elems_term": None
                 if k.message_elems_term is None
-                else _expo_to_json(k.message_elems_term.exponents),
+                else expo_to_json(k.message_elems_term.exponents),
                 "message_elems_base": k.message_elems_base,
                 "elem_size": k.elem_size,
                 "true_alpha": k.true_alpha,

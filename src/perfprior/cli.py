@@ -28,7 +28,7 @@ from .errors import (
 )
 from .noise import PATTERN_NAMES, NoiseConfig, NoisePattern, inject
 from .pipelines import PIPELINES, run_pipeline
-from .pmnf import leading_exponents, render
+from .pmnf import expo_to_json, leading_exponents, render
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -57,14 +57,12 @@ def _model_report(models, exp) -> dict:
                 "terms": [
                     {
                         "coefficient": t.coefficient,
-                        "exponents": [[str(i), j] for i, j in t.exponents],
+                        "exponents": expo_to_json(t.exponents),
                         "ranks_fraction": t.ranks_fraction,
                     }
                     for t in model.terms
                 ],
-                "leading_exponents": {
-                    name: [str(i), j] for name, (i, j) in lead.items()
-                },
+                "leading_exponents": dict(zip(lead, expo_to_json(lead.values()))),
             }
         )
     return {"format_version": 1, "callpaths": callpaths}

@@ -47,14 +47,10 @@ SCORE_FLOOR = 1e-12
 
 
 def _skeleton_key(skel: Skeleton) -> tuple:
-    total_i = Fraction(0)
-    total_j = 0
-    for b in skel.bases:
-        for i, j in b.exponents:
-            total_i += i
-            total_j += j
-    signature = tuple(sorted(b.signature() for b in skel.bases))
-    return (len(skel.bases), total_i, total_j, signature)
+    sigs = [b.signature() for b in skel.bases]
+    total_i = sum((sig[0] for sig in sigs), Fraction(0))
+    total_j = sum(sig[1] for sig in sigs)
+    return (len(sigs), total_i, total_j, tuple(sorted(sigs)))
 
 
 def _ordered(data: Mapping[Coordinate, float]) -> tuple[np.ndarray, np.ndarray]:
@@ -66,8 +62,8 @@ def _ordered(data: Mapping[Coordinate, float]) -> tuple[np.ndarray, np.ndarray]:
 
 def fit_coefficients(
     skel: Skeleton, data: Mapping[Coordinate, float]
-) -> tuple[tuple[float, ...], float]:
-    """Least-squares coefficients of a skeleton; returns (coefficients, rss).
+) -> tuple[float, ...]:
+    """Least-squares coefficients of a skeleton, one per basis.
 
     Rank-deficient systems yield the minimum-norm solution. Raises
     ModelingError when a coefficient is not finite (the data overflow).
@@ -78,10 +74,10 @@ def fit_coefficients(
         )
     coords, y = _ordered(data)
     a = design_matrix(skel, coords)
-    coef, rss, _ = _core.fit_ols(a, y)
+    coef = _core.fit_ols(a, y)
     if not np.isfinite(coef).all():
         raise ModelingError("least-squares fit gave non-finite coefficients")
-    return tuple(float(c) for c in coef), rss
+    return tuple(float(c) for c in coef)
 
 
 @functools.lru_cache(maxsize=64)
@@ -171,5 +167,4 @@ def fit_skeleton_to_time(
     skel: Skeleton, time_data: Mapping[Coordinate, float]
 ) -> PmnfModel:
     """Fit a skeleton's coefficients to time measurements (structure fixed)."""
-    coef, _ = fit_coefficients(skel, time_data)
-    return model_from_skeleton(skel, coef)
+    return model_from_skeleton(skel, fit_coefficients(skel, time_data))

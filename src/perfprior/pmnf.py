@@ -13,7 +13,7 @@ parameter that counts MPI ranks; asymptotically it contributes exponent 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -23,13 +23,6 @@ from .errors import ValidationError
 
 # (monomial exponent, log2 exponent) for one parameter
 Expo = tuple[Fraction, int]
-
-GENERIC = "generic"
-ALPHA = "alpha"
-BETA = "beta"
-GAMMA = "gamma"
-_LABELS = (GENERIC, ALPHA, BETA, GAMMA)
-_LABEL_GLYPHS = {ALPHA: "α", BETA: "β", GAMMA: "γ"}
 
 
 def default_exponent_sets() -> tuple[list[Fraction], list[int]]:
@@ -65,6 +58,11 @@ def _coerce_exponents(exponents: Iterable) -> tuple[Expo, ...]:
         i, j = pair
         out.append((Fraction(i), int(j)))
     return tuple(out)
+
+
+def expo_to_json(exponents: Sequence[Expo]) -> list:
+    """The JSON form of exponent pairs: [["3/2", 1], ...]."""
+    return [[str(i), j] for i, j in exponents]
 
 
 def _is_zero(exponents: Sequence[Expo]) -> bool:
@@ -158,25 +156,16 @@ def constant_basis(n_params: int) -> BasisFunction:
 
 @dataclass(frozen=True)
 class Skeleton:
-    """Basis list (constant first) with per-basis coefficient labels."""
+    """Basis list, the constant first, over named parameters."""
 
     space_names: tuple[str, ...]
     bases: tuple[BasisFunction, ...]
-    labels: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
         object.__setattr__(self, "space_names", tuple(self.space_names))
         object.__setattr__(self, "bases", tuple(self.bases))
-        if not self.labels:
-            object.__setattr__(self, "labels", (GENERIC,) * len(self.bases))
-        object.__setattr__(self, "labels", tuple(self.labels))
         if not self.bases:
             raise ValidationError("skeleton needs at least the constant basis")
-        if len(self.labels) != len(self.bases):
-            raise ValidationError("one label per basis function required")
-        for lab in self.labels:
-            if lab not in _LABELS:
-                raise ValidationError(f"unknown coefficient label {lab!r}")
         if not self.bases[0].is_constant:
             raise ValidationError("first basis function must be the constant")
         n_const = sum(1 for b in self.bases if b.is_constant)
@@ -294,33 +283,15 @@ def _format_factors(
     return parts
 
 
-def render(obj: PmnfModel | Skeleton) -> str:
+def render(model: PmnfModel) -> str:
     """Canonical human-readable form, terms ordered by exponent signature."""
-    if isinstance(obj, PmnfModel):
-        parts = []
-        if obj.constant != 0 or not obj.terms:
-            parts.append(_format_number(obj.constant))
-        for t in sorted(obj.terms, key=Term.signature):
-            factors = _format_factors(t.exponents, obj.space_names, t.ranks_fraction)
-            parts.append(" * ".join([_format_number(t.coefficient)] + factors))
-        return " + ".join(parts)
-    if isinstance(obj, Skeleton):
-        parts = []
-        generic_idx = 0
-        order = sorted(range(len(obj.bases)), key=lambda c: obj.bases[c].signature())
-        for c in order:
-            basis, label = obj.bases[c], obj.labels[c]
-            if label == GENERIC:
-                symbol = f"c{generic_idx}"
-                generic_idx += 1
-            else:
-                symbol = _LABEL_GLYPHS[label]
-            factors = _format_factors(
-                basis.exponents, obj.space_names, basis.ranks_fraction
-            )
-            parts.append(" * ".join([symbol] + factors) if factors else symbol)
-        return " + ".join(parts)
-    raise TypeError(f"cannot render {type(obj).__name__}")
+    parts = []
+    if model.constant != 0 or not model.terms:
+        parts.append(_format_number(model.constant))
+    for t in sorted(model.terms, key=Term.signature):
+        factors = _format_factors(t.exponents, model.space_names, t.ranks_fraction)
+        parts.append(" * ".join([_format_number(t.coefficient)] + factors))
+    return " + ".join(parts)
 
 
 def model_from_skeleton(

@@ -13,9 +13,10 @@ gamma):
     reduce/allreduce    log2(p) alpha + (beta + (p-1)/p gamma) B
     barrier             log2(p) alpha
 
-`COST_FORMS` is the code's only copy of this table: the prior, the
+`COST_FORMS` is the code's only copy of this table, and the only place
+that says which coefficient is alpha, beta or gamma: the prior, the
 simulated runtimes, the ground-truth log term and the byte accounting all
-read it. Barrier carries no payload; its log2(p) latency form follows the
+read it. A prior is a plain skeleton; its bases carry no labels. Barrier carries no payload; its log2(p) latency form follows the
 same tree-transfer argument as the collectives and is our extension. The
 constant of the bytes structure is dropped when forming B terms: a constant
 payload is absorbed by the skeleton's constant and latency bases.
@@ -35,34 +36,25 @@ from .dataset import (
 )
 from .errors import ModelingError, ValidationError
 from .modeler import fit_skeleton_to_time, search
-from .pmnf import (
-    ALPHA,
-    BETA,
-    GAMMA,
-    GENERIC,
-    BasisFunction,
-    PmnfModel,
-    Skeleton,
-    constant_basis,
-)
+from .pmnf import BasisFunction, PmnfModel, Skeleton, constant_basis
 
 # The factors a cost-form coefficient multiplies.
 LOG_P = "log2(p)"
 B = "B"
 B_FRAC = "B(p-1)/p"
 
-# Each op's (factor, label) pairs after the constant, in basis order. An op
-# without a log2(p) factor pays its alpha in the constant.
+# Each op's (factor, coefficient name) pairs after the constant, in basis
+# order. An op without a log2(p) factor pays its alpha in the constant.
 COST_FORMS: dict[MpiOp, tuple[tuple[str, str], ...]] = {
-    MpiOp.SEND: ((B, BETA),),
-    MpiOp.RECEIVE: ((B, BETA),),
-    MpiOp.BROADCAST: ((LOG_P, ALPHA), (B, BETA)),
-    MpiOp.SCATTER: ((LOG_P, ALPHA), (B_FRAC, BETA)),
-    MpiOp.GATHER: ((LOG_P, ALPHA), (B_FRAC, BETA)),
-    MpiOp.ALLGATHER: ((LOG_P, ALPHA), (B_FRAC, BETA)),
-    MpiOp.REDUCE: ((LOG_P, ALPHA), (B, BETA), (B_FRAC, GAMMA)),
-    MpiOp.ALLREDUCE: ((LOG_P, ALPHA), (B, BETA), (B_FRAC, GAMMA)),
-    MpiOp.BARRIER: ((LOG_P, ALPHA),),
+    MpiOp.SEND: ((B, "beta"),),
+    MpiOp.RECEIVE: ((B, "beta"),),
+    MpiOp.BROADCAST: ((LOG_P, "alpha"), (B, "beta")),
+    MpiOp.SCATTER: ((LOG_P, "alpha"), (B_FRAC, "beta")),
+    MpiOp.GATHER: ((LOG_P, "alpha"), (B_FRAC, "beta")),
+    MpiOp.ALLGATHER: ((LOG_P, "alpha"), (B_FRAC, "beta")),
+    MpiOp.REDUCE: ((LOG_P, "alpha"), (B, "beta"), (B_FRAC, "gamma")),
+    MpiOp.ALLREDUCE: ((LOG_P, "alpha"), (B, "beta"), (B_FRAC, "gamma")),
+    MpiOp.BARRIER: ((LOG_P, "alpha"),),
 }
 
 
@@ -73,7 +65,7 @@ def has_factor(op: MpiOp, *factors: str) -> bool:
 
 def derive_computation_prior(bb_structure: Skeleton) -> Skeleton:
     """The basic-block structure's bases, the constant first and the rest
-    in signature order, with generic labels."""
+    in signature order."""
     rest = sorted(bb_structure.bases[1:], key=BasisFunction.signature)
     return Skeleton(bb_structure.space_names, bb_structure.bases[:1] + tuple(rest))
 
@@ -97,9 +89,8 @@ def derive_communication_prior(
     ]
 
     bases: list[BasisFunction] = [constant_basis(n)]
-    labels: list[str] = [GENERIC]
     seen = {bases[0].signature()}
-    for factor, label in COST_FORMS[op]:
+    for factor, _ in COST_FORMS[op]:
         if factor == LOG_P:
             factor_bases = [BasisFunction(tuple(log_exps))]
         else:
@@ -109,8 +100,7 @@ def derive_communication_prior(
             if basis.signature() not in seen:
                 seen.add(basis.signature())
                 bases.append(basis)
-                labels.append(label)
-    return Skeleton(names, tuple(bases), tuple(labels))
+    return Skeleton(names, tuple(bases))
 
 
 def account_bytes(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from perfprior._core import (
+    _pivots_ok,
     column_scaled,
     fit_ols,
     loo_cv_batch,
@@ -27,32 +28,30 @@ def huge_column_system():
 class TestFitOls:
     def test_exact_interpolation(self):
         a, y = quad_system()
-        coef, rss, rank = fit_ols(a, y)
+        coef = fit_ols(a, y)
         assert abs(coef[0] - 3) / 3 < 1e-9
         assert abs(coef[1] - 0.5) / 0.5 < 1e-9
-        assert rss < 1e-12
-        assert rank == 2
+        assert np.sum((a @ coef - y) ** 2) < 1e-12
 
     def test_constant_is_mean(self):
-        a = np.ones((2, 1))
-        coef, rss, _ = fit_ols(a, np.array([7.0, 9.0]))
+        a, y = np.ones((2, 1)), np.array([7.0, 9.0])
+        coef = fit_ols(a, y)
         assert coef[0] == pytest.approx(8.0)
-        assert rss == pytest.approx(2.0)
+        assert np.sum((a @ coef - y) ** 2) == pytest.approx(2.0)
 
     def test_min_norm_matches_pinv(self):
         # one coordinate, two bases: rank-deficient by construction
         a = np.array([[1.0, 6.0]])
         y = np.array([14.0])
-        coef, rss, rank = fit_ols(a, y)
+        coef = fit_ols(a, y)
         expected = np.linalg.pinv(a) @ y
-        assert rank == 1
         assert np.allclose(coef, expected, rtol=1e-12)
-        assert rss < 1e-18
+        assert np.sum((a @ coef - y) ** 2) < 1e-18
 
     def test_overflowed_design_gives_nan_without_lapack(self, capfd):
         x = np.array([2.0, 4.0, 8.0, 16.0, 32.0])
         a = np.stack([np.ones_like(x), x, np.full_like(x, np.inf)], axis=1)
-        coef, _, _ = fit_ols(a, x)
+        coef = fit_ols(a, x)
         assert np.isnan(coef).all()
         assert capfd.readouterr() == ("", "")
 
@@ -60,14 +59,13 @@ class TestFitOls:
         x = np.array([8000.0, 16000.0, 24000.0, 32000.0, 40000.0])
         a = np.stack([np.ones_like(x), x**3], axis=1)
         y = 3 + 0.5 * x**3
-        coef, _, _ = fit_ols(a, y)
+        coef = fit_ols(a, y)
         assert abs(coef[0] - 3) / 3 < 1e-6
         assert abs(coef[1] - 0.5) / 0.5 < 1e-12
 
     def test_column_with_overflowing_norm(self):
         a, y = huge_column_system()
-        coef, _, rank = fit_ols(a, y)
-        assert rank == 2
+        coef = fit_ols(a, y)
         assert coef == pytest.approx([3.0, 2e-160], rel=1e-12)
 
 
@@ -138,6 +136,23 @@ class TestLooCvBatch:
         slow = [loo_cv_slow(s, y) for s in scaled]
         assert np.all(np.isfinite(scores))
         assert np.allclose(scores, slow, rtol=1e-9, atol=1e-12)
+
+    def test_leverage_one_point_rescued(self):
+        # a column non-zero at one point only has leverage 1 there: the fold
+        # that leaves that point out is singular, every other fold is not
+        x = np.array([2.0, 4.0, 8.0, 16.0, 32.0])
+        y = 3 + 0.5 * x + np.array([0.1, -0.2, 0.3, 0.0, -0.1])
+        ones = np.ones_like(x)
+        spike = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
+        a = np.stack([np.stack([ones, spike], axis=1), np.stack([ones, x], axis=1)])
+        scaled, _ = column_scaled(a)
+        gram = scaled.transpose(0, 2, 1) @ scaled
+        folds = gram[:, None] - np.einsum("hni,hnj->hnij", scaled, scaled)
+        assert _pivots_ok(folds).tolist() == [False, True]
+        scores = loo_cv_batch(a, y)
+        assert np.isfinite(scores[0])
+        assert scores[0] == loo_cv_slow(scaled[0], y)
+        assert scores[1] == pytest.approx(loo_cv_slow(scaled[1], y), rel=1e-9)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

@@ -5,9 +5,6 @@ import pytest
 
 from perfprior.errors import ValidationError
 from perfprior.pmnf import (
-    ALPHA,
-    BETA,
-    GENERIC,
     BasisFunction,
     PmnfModel,
     Skeleton,
@@ -176,9 +173,9 @@ class TestRender:
                 BasisFunction(((F(0), 1), (F(0), 0))),
                 BasisFunction(((F(1), 0), (F(1), 0))),
             ),
-            (GENERIC, ALPHA, BETA),
         )
-        assert render(skel) == "c0 + α * log2(p) + β * p * n"
+        model = model_from_skeleton(skel, (1.0, 2.0, 3.0))
+        assert render(model) == "1 + 2 * log2(p) + 3 * p * n"
 
     def test_fractional_exponent(self):
         model = PmnfModel(1.0, (Term(2.0, ((F(1, 2), 1),)),), ("p",))
@@ -192,9 +189,9 @@ class TestRender:
                 BasisFunction(((F(0), 1), (F(0), 0))),
                 BasisFunction(((F(0), 0), (F(1), 0)), ranks_fraction="p"),
             ),
-            (GENERIC, ALPHA, BETA),
         )
-        assert render(skel) == "c0 + α * log2(p) + β * n * (p-1)/p"
+        model = model_from_skeleton(skel, (1.0, 2.0, 3.0))
+        assert render(model) == "1 + 2 * log2(p) + 3 * n * (p-1)/p"
 
     def test_distinct_models_render_distinct(self):
         rng = np.random.default_rng(7)

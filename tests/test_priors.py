@@ -11,10 +11,6 @@ from perfprior.dataset import MpiOp
 from perfprior.errors import ModelingError, ValidationError
 from perfprior.noise import NoiseConfig, NoisePattern, inject
 from perfprior.pmnf import (
-    ALPHA,
-    BETA,
-    GAMMA,
-    GENERIC,
     BasisFunction,
     Skeleton,
     constant_basis,
@@ -61,7 +57,6 @@ class TestComputationPrior:
             ((F(0), 0), (F(1), 0)),
             ((F(1), 0), (F(1), 0)),
         }
-        assert set(skel.labels) == {GENERIC}
 
     def test_constant_model_gives_constant_skeleton(self):
         skel = derive_computation_prior(Skeleton(PN, (constant_basis(2),)))
@@ -89,7 +84,6 @@ class TestComputationPrior:
             BasisFunction(n),
             BasisFunction(np_),
         )
-        assert set(skel.labels) == {GENERIC}
 
 
 def log_p():
@@ -106,7 +100,6 @@ class TestCommunicationPrior:
             log_p(),
             BasisFunction(((F(1), 0), (F(1), 0))),
         )
-        assert prior.labels == (GENERIC, ALPHA, BETA)
 
     def test_reduce_keeps_beta_and_gamma(self):
         prior = derive_communication_prior(
@@ -119,7 +112,6 @@ class TestCommunicationPrior:
             BasisFunction(n_term),
             BasisFunction(n_term, ranks_fraction="p"),
         )
-        assert prior.labels == (GENERIC, ALPHA, BETA, GAMMA)
 
     def test_scatter_applies_ranks_fraction(self):
         prior = derive_communication_prior(
@@ -134,7 +126,6 @@ class TestCommunicationPrior:
     def test_barrier_is_latency_only(self):
         prior = derive_communication_prior("barrier", skeleton_of(), "p")
         assert prior.bases == (constant_basis(2), log_p())
-        assert prior.labels == (GENERIC, ALPHA)
 
     def test_send_merges_alpha_into_constant(self):
         prior = derive_communication_prior(
@@ -144,7 +135,6 @@ class TestCommunicationPrior:
             constant_basis(2),
             BasisFunction(((F(0), 0), (F(1), 0))),
         )
-        assert prior.labels == (GENERIC, BETA)
 
     def test_duplicate_log_term_collapses(self):
         # bytes that scale as log2(p) themselves
@@ -152,7 +142,6 @@ class TestCommunicationPrior:
             "broadcast", skeleton_of(((F(0), 1), (F(0), 0))), "p"
         )
         assert prior.bases == (constant_basis(2), log_p())
-        assert prior.labels == (GENERIC, ALPHA)
 
     def test_unknown_ranks_param_rejected(self):
         with pytest.raises(ValidationError):
@@ -276,7 +265,6 @@ class TestSwcPrior:
         assert comp.bases == (constant_basis(2), BasisFunction(n), BasisFunction(np_))
         comm = swc_prior(exp, "k00/broadcast")
         assert comm.bases == (constant_basis(2), log_p(), BasisFunction(np_))
-        assert comm.labels == (GENERIC, ALPHA, BETA)
 
 
 class TestBuildSwcModel:
