@@ -208,8 +208,7 @@ def search_digest() -> str:
     for seed in range(SEARCH_DATASETS):
         data, space = search_dataset(seed)
         model = modeler.fit_skeleton_to_time(modeler.search(data, space), data)
-        coefs = [model.constant] + [t.coefficient for t in model.terms]
-        line = " ".join([pmnf.render(model)] + [float(c).hex() for c in coefs])
+        line = " ".join([pmnf.render(model)] + [c.hex() for c in model.coefficients])
         digest.update(f"{line}\n".encode())
     return digest.hexdigest()
 
@@ -219,14 +218,14 @@ def random_model(seed: int) -> pmnf.PmnfModel:
     rng = np.random.default_rng(seed)
     names = ("p", "n", "q")[: 1 + seed % 3]
     i_set, j_set = pmnf.default_exponent_sets()
-    terms = {}
+    terms = {}  # a repeated basis keeps its first place and its last coefficient
     for _ in range(rng.integers(0, 4)):
         exponents = [(rng.choice(i_set), int(rng.choice(j_set))) for _ in names]
         fraction = "p" if rng.uniform() < 0.2 else None
         if fraction or any(i or j for i, j in exponents):
-            term = pmnf.Term(10.0 ** rng.uniform(-3, 3), exponents, fraction)
-            terms[term.signature()] = term
-    return pmnf.PmnfModel(rng.uniform(-10, 10), tuple(terms.values()), names)
+            terms[pmnf.BasisFunction(exponents, fraction)] = 10.0 ** rng.uniform(-3, 3)
+    skel = pmnf.Skeleton(names, (pmnf.constant_basis(len(names)), *terms))
+    return pmnf.PmnfModel(skel, (rng.uniform(-10, 10), *terms.values()))
 
 
 def evaluate_digest() -> str:
@@ -235,7 +234,7 @@ def evaluate_digest() -> str:
         model = random_model(seed)
         rng = np.random.default_rng([seed, 1])
         for _ in range(4):
-            at = tuple(rng.uniform(1, 1e4, size=len(model.space_names)))
+            at = tuple(rng.uniform(1, 1e4, size=len(model.skeleton.space_names)))
             digest.update(f"{pmnf.evaluate(model, at).hex()}\n".encode())
     return digest.hexdigest()
 

@@ -23,7 +23,6 @@ from .pmnf import (
     BasisFunction,
     PmnfModel,
     Skeleton,
-    Term,
     default_exponent_sets,
     evaluate,
     leading_exponents,

@@ -52,7 +52,6 @@ from .noise import perturb
 from .pmnf import (
     BasisFunction,
     Expo,
-    Term,
     default_exponent_sets,
     expo_to_json,
     leading_from_terms,
@@ -65,10 +64,11 @@ SPEC_FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Ground-truth description of one synthetic kernel."""
+    """Ground-truth description of one synthetic kernel: computation terms
+    are (coefficient, basis) pairs."""
 
     name: str
-    computation_terms: tuple[Term, ...]
+    computation_terms: tuple[tuple[float, BasisFunction], ...]
     loop_arrangement: str
     mpi_op: MpiOp | None
     message_elems_term: BasisFunction | None
@@ -80,9 +80,8 @@ class KernelSpec:
     bb_per_iteration: int = 1
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "computation_terms", tuple(self.computation_terms)
-        )
+        terms = tuple((float(c), b) for c, b in self.computation_terms)
+        object.__setattr__(self, "computation_terms", terms)
         if self.mpi_op is not None:
             object.__setattr__(self, "mpi_op", MpiOp(self.mpi_op))
         if not isinstance(self.name, str) or not self.name:
@@ -93,9 +92,11 @@ class KernelSpec:
             )
         if not self.computation_terms:
             raise ValidationError("kernel needs at least one computation term")
-        for term in self.computation_terms:
-            if not (term.coefficient > 0):
+        for c, basis in self.computation_terms:
+            if not (c > 0):
                 raise ValidationError("computation coefficients must be positive")
+            if basis.is_constant:
+                raise ValidationError("computation term must not be all-zero")
         if self.message_elems_term is not None and self.message_elems_term.is_constant:
             raise ValidationError("message term must not be all-zero")
         if self.mpi_op is not None and not has_factor(self.mpi_op, B, B_FRAC):
@@ -143,8 +144,8 @@ class BenchmarkSpec:
         if len(set(names)) != len(names):
             raise ValidationError("kernel names must be unique")
         for k in self.kernels:
-            for term in k.computation_terms:
-                if len(term.exponents) != self.space.m:
+            for _, basis in k.computation_terms:
+                if len(basis.exponents) != self.space.m:
                     raise ValidationError("term arity does not match space")
             if k.message_elems_term is not None:
                 if len(k.message_elems_term.exponents) != self.space.m:
@@ -233,7 +234,9 @@ def _draw_kernel(
     else:
         raise ValidationError("could not draw terms above the minimum value floor")
 
-    computation = tuple(Term(_log_uniform(rng, *COEFF_RANGE), t) for t in terms)
+    computation = tuple(
+        (_log_uniform(rng, *COEFF_RANGE), BasisFunction(t)) for t in terms
+    )
     op = MPI_OPS[rng.integers(len(MPI_OPS))]
     message = None
     if has_factor(op, B, B_FRAC):
@@ -292,11 +295,11 @@ def _callpaths(
     logs = np.log2(coords)
     bb = np.zeros(coords.shape[0])
     time_comp = np.zeros(coords.shape[0])
-    for term in kernel.computation_terms:
-        values = monomial_values(term.exponents, coords, logs)
+    for c, basis in kernel.computation_terms:
+        values = monomial_values(basis.exponents, coords, logs)
         bb += np.rint(values) * kernel.bb_per_iteration
-        time_comp += term.coefficient * values
-    comp = [t.exponents for t in kernel.computation_terms]
+        time_comp += c * values
+    comp = [b.exponents for _, b in kernel.computation_terms]
     yield CallPath(f"{kernel.name}/compute", KIND_COMPUTATION), comp, time_comp, bb
     op = kernel.mpi_op
     if op is None:
@@ -415,11 +418,8 @@ def spec_to_dict(spec: BenchmarkSpec) -> dict:
                 "name": k.name,
                 "loop_arrangement": k.loop_arrangement,
                 "computation_terms": [
-                    {
-                        "exponents": expo_to_json(t.exponents),
-                        "coefficient": t.coefficient,
-                    }
-                    for t in k.computation_terms
+                    {"exponents": expo_to_json(b.exponents), "coefficient": c}
+                    for c, b in k.computation_terms
                 ],
                 "mpi_op": None if k.mpi_op is None else k.mpi_op.value,
                 "message_elems_term": None
@@ -445,7 +445,7 @@ def _kernel_from_dict(k, m: int) -> KernelSpec:
         require_keys(t, "computation term", ["exponents", "coefficient"])
         expos = _expo_from_json(t["exponents"], m, "computation term")
         coefficient = require_number(t["coefficient"], "computation term")
-        terms.append(Term(coefficient, expos))
+        terms.append((coefficient, BasisFunction(expos)))
     message = k["message_elems_term"]
     if message is not None:
         message = BasisFunction(_expo_from_json(message, m, "message_elems_term"))

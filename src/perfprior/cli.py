@@ -46,21 +46,21 @@ def _model_report(models, exp) -> dict:
     callpaths = []
     for cp, _ in exp.callpaths:
         model = models[cp.name]
-        lead = leading_exponents(model)
+        lead = leading_exponents(model.skeleton)
         callpaths.append(
             {
                 "name": cp.name,
                 "kind": cp.kind,
                 "mpi_op": None if cp.mpi_op is None else cp.mpi_op.value,
                 "model": render(model),
-                "constant": model.constant,
+                "constant": model.coefficients[0],
                 "terms": [
                     {
-                        "coefficient": t.coefficient,
-                        "exponents": expo_to_json(t.exponents),
-                        "ranks_fraction": t.ranks_fraction,
+                        "coefficient": c,
+                        "exponents": expo_to_json(b.exponents),
+                        "ranks_fraction": b.ranks_fraction,
                     }
-                    for t in model.terms
+                    for b, c in zip(model.skeleton.bases[1:], model.coefficients[1:])
                 ],
                 "leading_exponents": dict(zip(lead, expo_to_json(lead.values()))),
             }
@@ -70,7 +70,7 @@ def _model_report(models, exp) -> dict:
 
 def _lead_text(model) -> str:
     parts = []
-    for name, (i, j) in leading_exponents(model).items():
+    for name, (i, j) in leading_exponents(model.skeleton).items():
         log = f",log^{j}" if j else ""
         parts.append(f"{name}:{i}{log}")
     return " ".join(parts)

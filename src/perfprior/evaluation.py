@@ -47,11 +47,11 @@ def deviation_from_truth(
 
     A parameter missing from truth has true exponent 0.
     """
-    lead = leading_exponents(model)
+    lead = leading_exponents(model.skeleton)
     deviations = {}
-    for name in model.space_names:
+    for name, (i, _) in lead.items():
         true_i = Fraction(truth[name][0]) if name in truth else Fraction(0)
-        deviations[name] = abs(lead[name][0] - true_i)
+        deviations[name] = abs(i - true_i)
     return deviations
 
 

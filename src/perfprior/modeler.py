@@ -40,7 +40,6 @@ from .pmnf import (
     constant_basis,
     default_exponent_sets,
     design_matrix,
-    model_from_skeleton,
 )
 
 SCORE_FLOOR = 1e-12
@@ -167,4 +166,4 @@ def fit_skeleton_to_time(
     skel: Skeleton, time_data: Mapping[Coordinate, float]
 ) -> PmnfModel:
     """Fit a skeleton's coefficients to time measurements (structure fixed)."""
-    return model_from_skeleton(skel, fit_coefficients(skel, time_data))
+    return PmnfModel(skel, fit_coefficients(skel, time_data))

@@ -73,9 +73,9 @@ def sample(pattern: NoisePattern, rng: np.random.Generator) -> float:
             if s <= 1.0:
                 return s
     if pattern.kind == "scaled_poisson":
-        return float(min(max(rng.poisson(1000.0) / 1000.0, 0.0), 1.0))
+        return float(min(rng.poisson(1000.0) / 1000.0, 1.0))
     if pattern.kind == "scaled_exponential":
-        return float(min(max(rng.exponential(1.0 / 1000.0) * 1000.0, 0.0), 1.0))
+        return float(min(rng.exponential(1.0 / 1000.0) * 1000.0, 1.0))
     raise ValidationError(f"unknown noise pattern {pattern.kind!r}")
 
 

@@ -2,13 +2,14 @@
 
 Monomial exponents are exact rationals and log exponents are small
 non-negative integers, so model structures can be compared, deduplicated,
-and ordered exactly. Floats enter in one place, `_columns`, which turns
-bases (for `design_matrix`) and terms (for `evaluate`) into value columns.
+and ordered exactly.
 
-A skeleton is the coefficient-free counterpart of a model: a list of basis
-functions whose coefficients get fitted later. Basis functions (and terms
-of fitted skeleton models) may carry a single (p-1)/p factor on the
-parameter that counts MPI ranks; asymptotically it contributes exponent 0.
+A skeleton is a model's structure: a list of basis functions, the constant
+first. A model is a skeleton and its coefficients, one per basis. Floats
+enter in one place: `_columns` turns bases into columns, unit-started for
+`design_matrix` and coefficient-started for `evaluate`. A basis function
+may carry a single (p-1)/p factor on the parameter that counts MPI ranks;
+asymptotically it contributes exponent 0.
 """
 
 from __future__ import annotations
@@ -52,84 +53,9 @@ def default_exponent_sets() -> tuple[list[Fraction], list[int]]:
     return i_set, [0, 1, 2]
 
 
-def _coerce_exponents(exponents: Iterable) -> tuple[Expo, ...]:
-    out = []
-    for pair in exponents:
-        i, j = pair
-        out.append((Fraction(i), int(j)))
-    return tuple(out)
-
-
 def expo_to_json(exponents: Sequence[Expo]) -> list:
     """The JSON form of exponent pairs: [["3/2", 1], ...]."""
     return [[str(i), j] for i, j in exponents]
-
-
-def _is_zero(exponents: Sequence[Expo]) -> bool:
-    return all(i == 0 and j == 0 for i, j in exponents)
-
-
-def exponent_signature(
-    exponents: Sequence[Expo], ranks_fraction: str | None = None
-) -> tuple:
-    """Total-order key for one term/basis: (sum i, sum j, pairs, factor)."""
-    total_i = sum((i for i, _ in exponents), Fraction(0))
-    total_j = sum(j for _, j in exponents)
-    return (total_i, total_j, tuple(exponents), ranks_fraction or "")
-
-
-def _check_factors(
-    parts: Sequence, names: Sequence[str], kind: str, duplicate: str
-) -> None:
-    """Check terms or bases against the parameter names: one exponent pair
-    per parameter, ranks fractions on named parameters, no structure twice."""
-    for part in parts:
-        if len(part.exponents) != len(names):
-            raise ValidationError(f"{kind} exponent count does not match parameters")
-        if part.ranks_fraction is not None and part.ranks_fraction not in names:
-            raise ValidationError(
-                f"ranks fraction parameter {part.ranks_fraction!r} not in space"
-            )
-    sigs = [part.signature() for part in parts]
-    if len(set(sigs)) != len(sigs):
-        raise ValidationError(duplicate)
-
-
-@dataclass(frozen=True)
-class Term:
-    """One model term: coefficient times a product of parameter factors."""
-
-    coefficient: float
-    exponents: tuple[Expo, ...]
-    ranks_fraction: str | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "exponents", _coerce_exponents(self.exponents))
-        object.__setattr__(self, "coefficient", float(self.coefficient))
-        if _is_zero(self.exponents) and self.ranks_fraction is None:
-            raise ValidationError("term with all-zero exponents is the constant")
-
-    def signature(self) -> tuple:
-        return exponent_signature(self.exponents, self.ranks_fraction)
-
-
-@dataclass(frozen=True)
-class PmnfModel:
-    """A fitted model: constant plus terms over named parameters."""
-
-    constant: float
-    terms: tuple[Term, ...]
-    space_names: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
-        object.__setattr__(self, "space_names", tuple(self.space_names))
-        object.__setattr__(self, "constant", float(self.constant))
-        if not self.space_names:
-            raise ValidationError("model needs at least one parameter name")
-        _check_factors(
-            self.terms, self.space_names, "term", "duplicate term structure in model"
-        )
 
 
 @dataclass(frozen=True)
@@ -140,14 +66,20 @@ class BasisFunction:
     ranks_fraction: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "exponents", _coerce_exponents(self.exponents))
+        exponents = tuple((Fraction(i), int(j)) for i, j in self.exponents)
+        object.__setattr__(self, "exponents", exponents)
 
     @property
     def is_constant(self) -> bool:
-        return _is_zero(self.exponents) and self.ranks_fraction is None
+        return self.ranks_fraction is None and all(
+            i == 0 and j == 0 for i, j in self.exponents
+        )
 
     def signature(self) -> tuple:
-        return exponent_signature(self.exponents, self.ranks_fraction)
+        """Total-order key: (sum i, sum j, pairs, factor)."""
+        total_i = sum((i for i, _ in self.exponents), Fraction(0))
+        total_j = sum(j for _, j in self.exponents)
+        return (total_i, total_j, self.exponents, self.ranks_fraction or "")
 
 
 def constant_basis(n_params: int) -> BasisFunction:
@@ -156,7 +88,8 @@ def constant_basis(n_params: int) -> BasisFunction:
 
 @dataclass(frozen=True)
 class Skeleton:
-    """Basis list, the constant first, over named parameters."""
+    """Basis list, the constant first, over named parameters: one exponent
+    pair per parameter, ranks fractions on named parameters, no basis twice."""
 
     space_names: tuple[str, ...]
     bases: tuple[BasisFunction, ...]
@@ -164,6 +97,8 @@ class Skeleton:
     def __post_init__(self):
         object.__setattr__(self, "space_names", tuple(self.space_names))
         object.__setattr__(self, "bases", tuple(self.bases))
+        if not self.space_names:
+            raise ValidationError("skeleton needs at least one parameter name")
         if not self.bases:
             raise ValidationError("skeleton needs at least the constant basis")
         if not self.bases[0].is_constant:
@@ -171,13 +106,33 @@ class Skeleton:
         n_const = sum(1 for b in self.bases if b.is_constant)
         if n_const != 1:
             raise ValidationError("constant basis must appear exactly once")
-        _check_factors(
-            self.bases, self.space_names, "basis", "duplicate basis function in skeleton"
-        )
+        for b in self.bases:
+            if len(b.exponents) != len(self.space_names):
+                raise ValidationError("basis exponent count does not match parameters")
+            rf = b.ranks_fraction
+            if rf is not None and rf not in self.space_names:
+                raise ValidationError(f"ranks fraction parameter {rf!r} not in space")
+        if len(set(self.bases)) != len(self.bases):
+            raise ValidationError("duplicate basis function in skeleton")
 
     @property
     def size(self) -> int:
         return len(self.bases)
+
+
+@dataclass(frozen=True)
+class PmnfModel:
+    """A fitted model: a skeleton and one coefficient per basis, the
+    constant's first."""
+
+    skeleton: Skeleton
+    coefficients: tuple[float, ...]
+
+    def __post_init__(self):
+        coefficients = tuple(float(c) for c in self.coefficients)
+        object.__setattr__(self, "coefficients", coefficients)
+        if len(coefficients) != self.skeleton.size:
+            raise ValidationError("coefficient count does not match basis count")
 
 
 def monomial_values(
@@ -198,20 +153,23 @@ def monomial_values(
 
 
 def _columns(
-    parts: Sequence, names: Sequence[str], coords, starts: Sequence[float]
+    bases: Sequence[BasisFunction],
+    names: Sequence[str],
+    coords,
+    starts: Sequence[float],
 ) -> np.ndarray:
-    """One column per basis or term (one row per coordinate): start, times
-    the monomial, times ((p - 1.0) / p) for a ranks fraction on p. Dividing
+    """One column per basis (one row per coordinate): start, times the
+    monomial, times ((p - 1.0) / p) for a ranks fraction on p. Dividing
     first keeps the fraction finite wherever the column is."""
     coords = np.asarray(coords, dtype=float)
     if coords.ndim != 2 or coords.shape[1] != len(names):
         raise ValidationError("coordinate array does not match parameter count")
     logs = np.log2(coords)
-    a = np.empty((coords.shape[0], len(parts)))
-    for c, part in enumerate(parts):
-        col = monomial_values(part.exponents, coords, logs, starts[c])
-        if part.ranks_fraction is not None:
-            p = coords[:, names.index(part.ranks_fraction)]
+    a = np.empty((coords.shape[0], len(bases)))
+    for c, b in enumerate(bases):
+        col = monomial_values(b.exponents, coords, logs, starts[c])
+        if b.ranks_fraction is not None:
+            p = coords[:, names.index(b.ranks_fraction)]
             col = col * ((p - 1.0) / p)
         a[:, c] = col
     return a
@@ -224,11 +182,12 @@ def design_matrix(skel: Skeleton, coords: np.ndarray) -> np.ndarray:
 
 def evaluate(model: PmnfModel, at: Sequence[float]) -> float:
     """Evaluate the model at one coordinate (values aligned with names): the
-    constant plus each term's column, started from its coefficient."""
-    starts = [t.coefficient for t in model.terms]
-    total = model.constant
-    for v in _columns(model.terms, model.space_names, [at], starts)[0]:
-        total += v  # in term order; np.sum would add pairwise
+    sum of each basis's column, started from its coefficient."""
+    skel = model.skeleton
+    row = _columns(skel.bases, skel.space_names, [at], model.coefficients)[0]
+    total = row[0]  # the constant's column is exactly its coefficient
+    for v in row[1:]:
+        total += v  # in basis order; np.sum would add pairwise
     return float(total)
 
 
@@ -247,10 +206,12 @@ def leading_from_terms(
     return tuple(lead)
 
 
-def leading_exponents(model: PmnfModel) -> dict[str, Expo]:
-    """Leading (monomial, log) exponent per parameter; constants give (0, 0)."""
-    lead = leading_from_terms((t.exponents for t in model.terms), len(model.space_names))
-    return dict(zip(model.space_names, lead))
+def leading_exponents(skel: Skeleton) -> dict[str, Expo]:
+    """Leading (monomial, log) exponent per parameter of any model fitted to
+    the skeleton; constants give (0, 0)."""
+    n_params = len(skel.space_names)
+    lead = leading_from_terms((b.exponents for b in skel.bases[1:]), n_params)
+    return dict(zip(skel.space_names, lead))
 
 
 def _format_number(v: float) -> str:
@@ -284,25 +245,13 @@ def _format_factors(
 
 
 def render(model: PmnfModel) -> str:
-    """Canonical human-readable form, terms ordered by exponent signature."""
+    """Canonical human-readable form, terms ordered by basis signature."""
+    skel, coefficients = model.skeleton, model.coefficients
     parts = []
-    if model.constant != 0 or not model.terms:
-        parts.append(_format_number(model.constant))
-    for t in sorted(model.terms, key=Term.signature):
-        factors = _format_factors(t.exponents, model.space_names, t.ranks_fraction)
-        parts.append(" * ".join([_format_number(t.coefficient)] + factors))
+    if coefficients[0] != 0 or skel.size == 1:
+        parts.append(_format_number(coefficients[0]))
+    terms = zip(skel.bases[1:], coefficients[1:])
+    for b, c in sorted(terms, key=lambda term: term[0].signature()):
+        factors = _format_factors(b.exponents, skel.space_names, b.ranks_fraction)
+        parts.append(" * ".join([_format_number(c)] + factors))
     return " + ".join(parts)
-
-
-def model_from_skeleton(
-    skel: Skeleton, coefficients: Sequence[float]
-) -> PmnfModel:
-    """Bind fitted coefficients to a skeleton, giving a model."""
-    if len(coefficients) != len(skel.bases):
-        raise ValidationError("coefficient count does not match basis count")
-    terms = [
-        Term(float(c), b.exponents, b.ranks_fraction)
-        for c, b in zip(coefficients[1:], skel.bases[1:])
-    ]
-    return PmnfModel(float(coefficients[0]), tuple(terms), skel.space_names)
-

@@ -16,8 +16,9 @@ gamma):
 `COST_FORMS` is the code's only copy of this table, and the only place
 that says which coefficient is alpha, beta or gamma: the prior, the
 simulated runtimes, the ground-truth log term and the byte accounting all
-read it. A prior is a plain skeleton; its bases carry no labels. Barrier carries no payload; its log2(p) latency form follows the
-same tree-transfer argument as the collectives and is our extension. The
+read it. A prior is a plain skeleton; its bases carry no labels. Barrier
+carries no payload; its log2(p) latency form follows the same
+tree-transfer argument as the collectives and is our extension. The
 constant of the bytes structure is dropped when forming B terms: a constant
 payload is absorbed by the skeleton's constant and latency bases.
 """

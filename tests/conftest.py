@@ -15,9 +15,8 @@ from perfprior.pmnf import (
     BasisFunction,
     PmnfModel,
     Skeleton,
-    Term,
+    constant_basis,
     leading_exponents,
-    leading_from_terms,
 )
 
 # At collection, hypothesis's pytest plugin caches constants of the source
@@ -42,14 +41,14 @@ def fig2_spec(message_base: int = 1) -> BenchmarkSpec:
     broadcast of n*p integers; computation O(n*p + n), communication
     O(n*p + log2 p)."""
     f0 = Fraction(0)
-    term_n = ((f0, 0), (Fraction(1), 0))
-    term_np = ((Fraction(1), 0), (Fraction(1), 0))
+    term_n = BasisFunction(((f0, 0), (Fraction(1), 0)))
+    term_np = BasisFunction(((Fraction(1), 0), (Fraction(1), 0)))
     kernel = KernelSpec(
         name="k00",
-        computation_terms=(Term(2e-8, term_n), Term(5e-9, term_np)),
+        computation_terms=((2e-8, term_n), (5e-9, term_np)),
         loop_arrangement="nested",
         mpi_op=MpiOp.BROADCAST,
-        message_elems_term=BasisFunction(term_np),
+        message_elems_term=term_np,
         elem_size=4,
         message_elems_base=message_base,
         true_alpha=3e-5,
@@ -62,30 +61,27 @@ def fig2_spec(message_base: int = 1) -> BenchmarkSpec:
 
 def model_from_expos(names, *term_expos) -> PmnfModel:
     """Unit-coefficient model from per-term exponent dicts {name: (i, j)}."""
-    terms = []
+    bases = [constant_basis(len(names))]
     for expos in term_expos:
         pairs = tuple(
             (Fraction(expos.get(n, (0, 0))[0]), int(expos.get(n, (0, 0))[1]))
             for n in names
         )
-        terms.append(Term(1.0, pairs))
-    return PmnfModel(0.0, tuple(terms), tuple(names))
+        bases.append(BasisFunction(pairs))
+    return PmnfModel(Skeleton(names, bases), (0.0,) + (1.0,) * len(term_expos))
 
 
-def skeleton_lead(skel: Skeleton) -> dict:
-    """Leading exponents of a structure: what `leading_exponents` gives for
-    any model fitted to it."""
-    lead = leading_from_terms(
-        (b.exponents for b in skel.bases[1:]), len(skel.space_names)
-    )
-    return dict(zip(skel.space_names, lead))
+def fitted_terms(model: PmnfModel) -> dict:
+    """Each non-constant basis's exponents mapped to its coefficient."""
+    bases, coefficients = model.skeleton.bases[1:], model.coefficients[1:]
+    return {b.exponents: c for b, c in zip(bases, coefficients)}
 
 
 def exponent_deviation(m1: PmnfModel, m2: PmnfModel) -> dict[str, Fraction]:
     """Per-parameter |i1* - i2*| of the leading exponents (logs count 0)."""
-    if m1.space_names != m2.space_names:
+    if m1.skeleton.space_names != m2.skeleton.space_names:
         raise ValidationError("models live in different parameter spaces")
-    return deviation_from_truth(m1, leading_exponents(m2))
+    return deviation_from_truth(m1, leading_exponents(m2.skeleton))
 
 
 @pytest.fixture

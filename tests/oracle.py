@@ -23,10 +23,10 @@ from perfprior.dataset import Coordinate, ParameterSpace
 from perfprior.errors import InsufficientDataError, ValidationError
 from perfprior.modeler import SCORE_FLOOR
 from perfprior.pmnf import (
+    BasisFunction,
     Expo,
     PmnfModel,
     Skeleton,
-    Term,
     default_exponent_sets,
     design_matrix,
 )
@@ -123,11 +123,7 @@ def _oracle_model(bases, coords, y, names) -> PmnfModel:
     peaks = np.abs(a).max(axis=0)
     peaks = np.where(peaks > 0, peaks, 1.0)
     coef = np.linalg.lstsq(a / peaks, y, rcond=None)[0] / peaks
-    terms = [
-        Term(float(c), b)
-        for c, b in zip(coef[1:], bases[1:])
-    ]
-    return PmnfModel(float(coef[0]), tuple(terms), names)
+    return PmnfModel(Skeleton(names, [BasisFunction(b) for b in bases]), coef)
 
 
 def exhaustive_oracle(

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import perfprior
-from conftest import exponent_deviation, model_from_expos
+from conftest import exponent_deviation, fitted_terms, model_from_expos
 from oracle import cv_score, exhaustive_oracle
 from perfprior.benchgen import (
     random_spec,
@@ -139,9 +139,9 @@ def test_criterion_3_coefficient_recovery():
         data = {(v,): float(t) for v, t in zip(x, a @ true)}
         x_space = ParameterSpace(("x",), (x,))
         model = fit_skeleton_to_time(search(data, x_space), data)
-        assert len(model.terms) == 1
-        assert model.terms[0].exponents == (expo,)
-        got = np.array([model.constant, model.terms[0].coefficient])
+        assert len(model.skeleton.bases[1:]) == 1
+        assert model.skeleton.bases[1].exponents == (expo,)
+        got = np.array(model.coefficients)
         assert np.all(np.abs(got - true) / true < 1e-6)
         assert cv_score(skel, data) <= 1e-9
         cases += 1
@@ -171,13 +171,13 @@ def test_criterion_3_coefficient_recovery():
         true = _contribution_scaled_targets(rng, a)
         data = {tuple(c): float(v) for c, v in zip(space.grid(), a @ true)}
         model = fit_skeleton_to_time(search(data, space), data)
-        assert {t.exponents for t in model.terms} == {
+        fitted = fitted_terms(model)
+        assert set(fitted) == {
             b.exponents for b in bases[1:]
         }, (shape, t_p, t_n)
-        fitted = {t.exponents: t.coefficient for t in model.terms}
         for basis, coeff in zip(bases[1:], true[1:]):
             assert abs(fitted[basis.exponents] - coeff) / coeff < 1e-6
-        assert abs(model.constant - true[0]) / true[0] < 1e-6
+        assert abs(model.coefficients[0] - true[0]) / true[0] < 1e-6
         assert cv_score(skel, data) <= 1e-9
         cases += 1
     _report(3, f"exact structure, 1e-6 coefficients, cv <= 1e-9 on {cases} "
@@ -217,8 +217,8 @@ def test_criterion_4_oracle_equivalence():
         got = fit_skeleton_to_time(search(data, x_space), data)
         want = exhaustive_oracle(data, "single", x_space)
         same = (
-            leading_exponents(got) == leading_exponents(want)
-            and len(got.terms) == len(want.terms)
+            leading_exponents(got.skeleton) == leading_exponents(want.skeleton)
+            and len(got.skeleton.bases) == len(want.skeleton.bases)
         )
         matches += int(same)
     assert matches == 100, f"single-parameter agreement {matches}/100"
@@ -247,9 +247,9 @@ def test_criterion_4_oracle_equivalence():
         got = fit_skeleton_to_time(search(data, space), data)
         want = exhaustive_oracle(data, "multi_restricted", space)
         same = (
-            leading_exponents(got) == leading_exponents(want)
-            and sorted(t.exponents for t in got.terms)
-            == sorted(t.exponents for t in want.terms)
+            leading_exponents(got.skeleton) == leading_exponents(want.skeleton)
+            and sorted(b.exponents for b in got.skeleton.bases[1:])
+            == sorted(b.exponents for b in want.skeleton.bases[1:])
         )
         multi_matches += int(same)
     assert multi_matches == 50, f"two-parameter agreement {multi_matches}/50"

@@ -23,7 +23,7 @@ from perfprior.benchgen import (
 )
 from perfprior.dataset import EFFORT_METRIC, MpiOp, ParameterSpace
 from perfprior.errors import ParseError, ValidationError
-from perfprior.pmnf import BasisFunction, Term, monomial_values
+from perfprior.pmnf import BasisFunction, monomial_values
 from perfprior.priors import account_bytes
 
 F = Fraction
@@ -48,7 +48,7 @@ def n_kernel(name, op, n_exp=1, message=None):
     n^n_exp, with an optional operation and message-size term."""
     return KernelSpec(
         name=name,
-        computation_terms=(Term(1e-7, ((F(0), 0), (F(n_exp), 0))),),
+        computation_terms=((1e-7, BasisFunction(((F(0), 0), (F(n_exp), 0)))),),
         loop_arrangement="sequential",
         mpi_op=op,
         message_elems_term=message,
@@ -79,8 +79,8 @@ class TestRandomSpec:
         for seed in range(1, 31):
             spec = random_spec(seed, 2, 1)
             grid = np.array(spec.space.grid())
-            for term in spec.kernels[0].computation_terms:
-                values = monomial_values(term.exponents, grid, np.log2(grid))
+            for _, basis in spec.kernels[0].computation_terms:
+                values = monomial_values(basis.exponents, grid, np.log2(grid))
                 assert values.min() >= MIN_TERM_VALUE
 
     @pytest.mark.parametrize(
@@ -231,7 +231,7 @@ class TestSimulate:
         payload = op.value != "barrier"
         kernel = KernelSpec(
             name="c00",
-            computation_terms=(Term(1e-7, ((F(0), 0), (F(1), 0))),),
+            computation_terms=((1e-7, BasisFunction(((F(0), 0), (F(1), 0)))),),
             loop_arrangement="sequential",
             mpi_op=op,
             message_elems_term=(
@@ -292,8 +292,8 @@ class TestSpecFiles:
         save_spec(spec, path)
         again = load_spec(path)
         for k1, k2 in zip(spec.kernels, again.kernels):
-            assert [t.exponents for t in k1.computation_terms] == [
-                t.exponents for t in k2.computation_terms
+            assert [b.exponents for _, b in k1.computation_terms] == [
+                b.exponents for _, b in k2.computation_terms
             ]
 
 
@@ -302,7 +302,7 @@ class TestKernelSpecInvariants:
         with pytest.raises(ValidationError):
             KernelSpec(
                 name="x",
-                computation_terms=(Term(1.0, ((F(1), 0),)),),
+                computation_terms=((1.0, BasisFunction(((F(1), 0),))),),
                 loop_arrangement="nested",
                 mpi_op=MpiOp.BROADCAST,
                 message_elems_term=None,
@@ -312,7 +312,7 @@ class TestKernelSpecInvariants:
         with pytest.raises(ValidationError, match="string"):
             KernelSpec(
                 name=7,
-                computation_terms=(Term(1.0, ((F(1), 0),)),),
+                computation_terms=((1.0, BasisFunction(((F(1), 0),))),),
                 loop_arrangement="nested",
                 mpi_op=None,
                 message_elems_term=None,
@@ -322,7 +322,17 @@ class TestKernelSpecInvariants:
         with pytest.raises(ValidationError):
             KernelSpec(
                 name="x",
-                computation_terms=(Term(0.0, ((F(1), 0),)),),
+                computation_terms=((0.0, BasisFunction(((F(1), 0),))),),
+                loop_arrangement="nested",
+                mpi_op=None,
+                message_elems_term=None,
+            )
+
+    def test_computation_term_must_not_be_all_zero(self):
+        with pytest.raises(ValidationError, match="all-zero"):
+            KernelSpec(
+                name="x",
+                computation_terms=((1.0, BasisFunction(((F(0), 0),))),),
                 loop_arrangement="nested",
                 mpi_op=None,
                 message_elems_term=None,

@@ -583,6 +583,7 @@ class TestMalformedDocuments:
             (TERM + ("exponents", 0, 0), True),
             (TERM + ("exponents", 0, 0), 1.5),
             (TERM + ("exponents", 0, 0), "1e400"),
+            (TERM + ("exponents",), [["0", 0], ["0", 0]]),
         ],
         ids=[
             "no-kernel-name", "no-message-elems-base", "no-term-coefficient",
@@ -591,7 +592,7 @@ class TestMalformedDocuments:
             "overflowing-alpha", "numeric-string-alpha", "boolean-alpha",
             "fractional-seed", "fractional-log-exponent", "numeric-string-elem-size",
             "boolean-format-version", "boolean-exponent", "numeric-exponent",
-            "overflowing-exponent",
+            "overflowing-exponent", "all-zero-term",
         ],
     )
     def test_spec(self, tmp_path, capsys, path, value):

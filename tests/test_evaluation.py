@@ -16,7 +16,7 @@ from perfprior.evaluation import (
     repetition_study,
 )
 from perfprior.pipelines import run_pipeline
-from perfprior.pmnf import PmnfModel
+from perfprior.pmnf import PmnfModel, Skeleton, constant_basis
 from study_oracle import per_trial_noise_study, per_trial_repetition_study
 
 F = Fraction
@@ -128,21 +128,25 @@ class TestExponentDeviationTable:
             exponent_deviation(theo, other)
 
 
+def constant_model(value: float) -> PmnfModel:
+    return PmnfModel(Skeleton(("x",), (constant_basis(1),)), (value,))
+
+
 class TestRelativeError:
     def test_perfect_prediction(self):
-        model = PmnfModel(10.0, (), ("x",))
+        model = constant_model(10.0)
         assert relative_error(model, (4.0,), 10.0) == 0.0
 
     def test_overprediction(self):
-        model = PmnfModel(15.0, (), ("x",))
+        model = constant_model(15.0)
         assert relative_error(model, (4.0,), 10.0) == pytest.approx(50.0)
 
     def test_underprediction(self):
-        model = PmnfModel(5.0, (), ("x",))
+        model = constant_model(5.0)
         assert relative_error(model, (4.0,), 10.0) == pytest.approx(50.0)
 
     def test_nonpositive_measurement_rejected(self):
-        model = PmnfModel(5.0, (), ("x",))
+        model = constant_model(5.0)
         with pytest.raises(ValidationError):
             relative_error(model, (4.0,), 0.0)
 
@@ -201,17 +205,17 @@ class TestStudies:
         # pipelines
         from perfprior.benchgen import BenchmarkSpec, KernelSpec
         from perfprior.dataset import MpiOp
-        from perfprior.pmnf import BasisFunction, Term
+        from perfprior.pmnf import BasisFunction
 
         base = fig2_spec()
-        term_np = ((F(1), 0), (F(1), 0))
-        term_n = ((F(0), 0), (F(1), 0))
+        term_np = BasisFunction(((F(1), 0), (F(1), 0)))
+        term_n = BasisFunction(((F(0), 0), (F(1), 0)))
         kernel = KernelSpec(
             name="k00",
-            computation_terms=(Term(2e-8, term_n), Term(5e-9, term_np)),
+            computation_terms=((2e-8, term_n), (5e-9, term_np)),
             loop_arrangement="nested",
             mpi_op=MpiOp.SEND,
-            message_elems_term=BasisFunction(term_np),
+            message_elems_term=term_np,
         )
         spec = BenchmarkSpec(0, base.space, (kernel,), "p")
         for pipeline in ("classic", "swc"):

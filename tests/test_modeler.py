@@ -3,7 +3,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import skeleton_lead
 from oracle import cv_score, exhaustive_oracle
 from perfprior.dataset import ParameterSpace
 from perfprior.errors import InsufficientDataError, ValidationError
@@ -20,7 +19,6 @@ from perfprior.pmnf import (
     default_exponent_sets,
     design_matrix,
     leading_exponents,
-    model_from_skeleton,
 )
 
 F = Fraction
@@ -109,22 +107,22 @@ class TestSearchSingle:
     def test_exact_quadratic(self):
         data = one_param_data(lambda x: 3 + 0.5 * x**2)
         model = fit_skeleton_to_time(search(data, X_SPACE), data)
-        assert leading_exponents(model)["x"] == (F(2), 0)
-        assert abs(model.constant - 3) / 3 < 1e-6
-        assert abs(model.terms[0].coefficient - 0.5) / 0.5 < 1e-6
+        assert leading_exponents(model.skeleton)["x"] == (F(2), 0)
+        assert abs(model.coefficients[0] - 3) / 3 < 1e-6
+        assert abs(model.coefficients[1] - 0.5) / 0.5 < 1e-6
         oracle = exhaustive_oracle(data, "single", X_SPACE)
-        assert leading_exponents(oracle) == leading_exponents(model)
+        assert leading_exponents(oracle.skeleton) == leading_exponents(model.skeleton)
 
     def test_constant_data_prefers_fewer_terms(self):
         data = one_param_data(lambda x: 7.0)
         model = fit_skeleton_to_time(search(data, X_SPACE), data)
-        assert model.terms == ()
-        assert model.constant == pytest.approx(7.0)
+        assert model.skeleton.bases[1:] == ()
+        assert model.coefficients[0] == pytest.approx(7.0)
 
     def test_pure_log(self):
         data = one_param_data(lambda x: 2 * np.log2(x))
         skel = search(data, X_SPACE)
-        assert skeleton_lead(skel)["x"] == (F(0), 1)
+        assert leading_exponents(skel)["x"] == (F(0), 1)
 
     def test_needs_three_distinct_values(self):
         # with two values, every LOO fold of a two-basis line is underdetermined
@@ -164,26 +162,26 @@ class TestSearchMulti:
     def test_exact_bilinear(self, pn_space):
         data = {c: 1 + 0.5 * c[1] * c[0] for c in pn_space.grid()}
         model = fit_skeleton_to_time(search(data, pn_space), data)
-        lead = leading_exponents(model)
+        lead = leading_exponents(model.skeleton)
         assert lead["p"] == (F(1), 0) and lead["n"] == (F(1), 0)
-        assert len(model.terms) == 1
-        assert abs(model.constant - 1) < 1e-6
-        assert abs(model.terms[0].coefficient - 0.5) / 0.5 < 1e-6
+        assert len(model.skeleton.bases[1:]) == 1
+        assert abs(model.coefficients[0] - 1) < 1e-6
+        assert abs(model.coefficients[1] - 0.5) / 0.5 < 1e-6
 
     def test_worked_example_shape(self, pn_space):
         # computation shape O(n + n*p)
         data = {c: 2.0 + 3e-4 * c[1] + 5e-7 * c[1] * c[0] for c in pn_space.grid()}
-        lead = skeleton_lead(search(data, pn_space))
+        lead = leading_exponents(search(data, pn_space))
         assert lead["n"][0] == F(1)
         assert lead["p"][0] == F(1)
         oracle = exhaustive_oracle(data, "multi_restricted", pn_space)
-        assert leading_exponents(oracle) == lead
+        assert leading_exponents(oracle.skeleton) == lead
 
     def test_constant(self, pn_space):
         data = {c: 42.0 for c in pn_space.grid()}
         model = fit_skeleton_to_time(search(data, pn_space), data)
-        assert model.terms == ()
-        assert model.constant == pytest.approx(42.0)
+        assert model.skeleton.bases[1:] == ()
+        assert model.coefficients[0] == pytest.approx(42.0)
 
     def test_rejects_partial_grid(self, pn_space):
         for space in (X_SPACE, pn_space):
@@ -247,8 +245,8 @@ def _matches_multi_oracle(y, space):
     got = search(data, space)
     want = exhaustive_oracle(data, "multi_restricted", space)
     return (
-        skeleton_lead(got) == leading_exponents(want)
-        and len(got.bases) - 1 == len(want.terms)
+        leading_exponents(got) == leading_exponents(want.skeleton)
+        and len(got.bases) == len(want.skeleton.bases)
     )
 
 
@@ -263,8 +261,8 @@ class TestOracleEquivalence:
             got = search(data, space)
             want = exhaustive_oracle(data, "single", space)
             if (
-                len(got.bases) - 1 == len(want.terms)
-                and skeleton_lead(got) == leading_exponents(want)
+                len(got.bases) == len(want.skeleton.bases)
+                and leading_exponents(got) == leading_exponents(want.skeleton)
             ):
                 matches += 1
         assert matches == 100
@@ -318,7 +316,7 @@ class TestFitSkeletonToTime:
             for c in pn_space.grid()
         }
         model = fit_skeleton_to_time(skel, data)
-        coefs = [model.constant] + [t.coefficient for t in model.terms]
+        coefs = list(model.coefficients)
         assert coefs == pytest.approx([0.1, 0.01, 1e-6], rel=1e-6)
 
     def test_structure_survives_heavy_noise(self, pn_space):
@@ -332,9 +330,9 @@ class TestFitSkeletonToTime:
         clean = fit_skeleton_to_time(
             skel, {c: 0.1 + 1e-6 * c[1] * c[0] for c in pn_space.grid()}
         )
-        assert leading_exponents(model) == leading_exponents(clean)
-        assert [t.exponents for t in model.terms] == [
-            t.exponents for t in clean.terms
+        assert leading_exponents(model.skeleton) == leading_exponents(clean.skeleton)
+        assert [b.exponents for b in model.skeleton.bases[1:]] == [
+            b.exponents for b in clean.skeleton.bases[1:]
         ]
 
 

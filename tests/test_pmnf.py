@@ -8,17 +8,23 @@ from perfprior.pmnf import (
     BasisFunction,
     PmnfModel,
     Skeleton,
-    Term,
     constant_basis,
     default_exponent_sets,
     design_matrix,
     evaluate,
     leading_exponents,
-    model_from_skeleton,
     render,
 )
 
 F = Fraction
+
+
+def model(names, constant, *terms):
+    """A model from its constant and (coefficient, exponents[, ranks
+    fraction]) terms."""
+    bases = [BasisFunction(*t[1:]) for t in terms]
+    skel = Skeleton(names, (constant_basis(len(names)), *bases))
+    return PmnfModel(skel, (constant, *(t[0] for t in terms)))
 
 
 class TestExponentSets:
@@ -37,43 +43,36 @@ class TestExponentSets:
 
 class TestEvaluate:
     def test_log_model(self):
-        model = PmnfModel(0.0, (Term(2.0, ((F(0), 1),)),), ("p",))
-        assert evaluate(model, (8.0,)) == 6.0
+        assert evaluate(model(("p",), 0.0, (2.0, ((F(0), 1),))), (8.0,)) == 6.0
 
     def test_constant_model(self):
-        model = PmnfModel(5.0, (), ("x",))
-        assert evaluate(model, (123.0,)) == 5.0
+        assert evaluate(model(("x",), 5.0), (123.0,)) == 5.0
 
     def test_bilinear(self):
-        model = PmnfModel(1.0, (Term(0.5, ((F(1), 0), (F(1), 0))),), ("n", "p"))
-        assert evaluate(model, (10.0, 4.0)) == 21.0
+        bilinear = model(("n", "p"), 1.0, (0.5, ((F(1), 0), (F(1), 0))))
+        assert evaluate(bilinear, (10.0, 4.0)) == 21.0
 
     def test_dimension_mismatch(self):
-        model = PmnfModel(5.0, (), ("x",))
         with pytest.raises(ValidationError):
-            evaluate(model, (1.0, 2.0))
+            evaluate(model(("x",), 5.0), (1.0, 2.0))
 
     def test_ranks_fraction(self):
-        term = Term(2.0, ((F(0), 0), (F(3, 4), 0)), ranks_fraction="p")
-        model = PmnfModel(1.0, (term,), ("p", "n"))
-        assert evaluate(model, (4.0, 16.0)) == 13.0
+        fitted = model(("p", "n"), 1.0, (2.0, ((F(0), 0), (F(3, 4), 0)), "p"))
+        assert evaluate(fitted, (4.0, 16.0)) == 13.0
         # p * n^(3/4) overflows here; the prediction still reads the column
         at = (1e200, 1e204)
-        skel = Skeleton(
-            ("p", "n"), (constant_basis(2), BasisFunction(term.exponents, "p"))
-        )
-        (column,) = design_matrix(skel, np.array([at]))[:, 1]
-        assert evaluate(model, at) == 1.0 + 2.0 * column
+        (column,) = design_matrix(fitted.skeleton, np.array([at]))[:, 1]
+        assert evaluate(fitted, at) == 1.0 + 2.0 * column
 
     def test_monotone_in_coefficients(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
             c = float(rng.uniform(0.1, 5))
-            term = Term(c, ((F(1, 2), 1),))
-            bigger = Term(c + 0.5, ((F(1, 2), 1),))
+            term = (c, ((F(1, 2), 1),))
+            bigger = (c + 0.5, ((F(1, 2), 1),))
             at = (float(rng.uniform(2, 100)),)
-            assert evaluate(PmnfModel(1.0, (bigger,), ("x",)), at) > evaluate(
-                PmnfModel(1.0, (term,), ("x",)), at
+            assert evaluate(model(("x",), 1.0, bigger), at) > evaluate(
+                model(("x",), 1.0, term), at
             )
 
 
@@ -125,45 +124,33 @@ class TestEvaluateBasis:
 class TestLeadingExponents:
     def test_three_parameter_mixed_term(self):
         # O(p * log2^2(p) * G^(3/4) * log2(G) * Z^(4/5))
-        term = Term(2.5, ((F(1), 2), (F(3, 4), 1), (F(4, 5), 0)))
-        model = PmnfModel(-1.0, (term,), ("p", "G", "Z"))
-        assert leading_exponents(model) == {
+        basis = BasisFunction(((F(1), 2), (F(3, 4), 1), (F(4, 5), 0)))
+        skel = Skeleton(("p", "G", "Z"), (constant_basis(3), basis))
+        assert leading_exponents(skel) == {
             "p": (F(1), 2),
             "G": (F(3, 4), 1),
             "Z": (F(4, 5), 0),
         }
 
     def test_constant_model(self):
-        assert leading_exponents(PmnfModel(7.0, (), ("a", "b"))) == {
+        assert leading_exponents(Skeleton(("a", "b"), (constant_basis(2),))) == {
             "a": (F(0), 0),
             "b": (F(0), 0),
         }
 
     def test_max_over_terms(self):
-        t1 = Term(1.0, ((F(1), 0), (F(0), 0)))
-        t2 = Term(1.0, ((F(1), 0), (F(1), 0)))
-        model = PmnfModel(0.0, (t1, t2), ("n", "p"))
-        assert leading_exponents(model) == {"n": (F(1), 0), "p": (F(1), 0)}
-
-    def test_invariant_under_coefficient_scaling(self):
-        t1 = Term(1.0, ((F(1), 1),))
-        t2 = Term(3.0, ((F(2), 0),))
-        base = PmnfModel(1.0, (t1, t2), ("x",))
-        scaled = PmnfModel(
-            17.0,
-            tuple(Term(t.coefficient * 100, t.exponents) for t in base.terms),
-            ("x",),
-        )
-        assert leading_exponents(base) == leading_exponents(scaled)
+        b1 = BasisFunction(((F(1), 0), (F(0), 0)))
+        b2 = BasisFunction(((F(1), 0), (F(1), 0)))
+        skel = Skeleton(("n", "p"), (constant_basis(2), b1, b2))
+        assert leading_exponents(skel) == {"n": (F(1), 0), "p": (F(1), 0)}
 
 
 class TestRender:
     def test_constant(self):
-        assert render(PmnfModel(5.0, (), ("x",))) == "5"
+        assert render(model(("x",), 5.0)) == "5"
 
     def test_single_log_term(self):
-        model = PmnfModel(0.0, (Term(2.0, ((F(0), 1),)),), ("p",))
-        assert render(model) == "2 * log2(p)"
+        assert render(model(("p",), 0.0, (2.0, ((F(0), 1),)))) == "2 * log2(p)"
 
     def test_broadcast_prior_skeleton(self):
         skel = Skeleton(
@@ -174,12 +161,11 @@ class TestRender:
                 BasisFunction(((F(1), 0), (F(1), 0))),
             ),
         )
-        model = model_from_skeleton(skel, (1.0, 2.0, 3.0))
-        assert render(model) == "1 + 2 * log2(p) + 3 * p * n"
+        assert render(PmnfModel(skel, (1.0, 2.0, 3.0))) == "1 + 2 * log2(p) + 3 * p * n"
 
     def test_fractional_exponent(self):
-        model = PmnfModel(1.0, (Term(2.0, ((F(1, 2), 1),)),), ("p",))
-        assert render(model) == "1 + 2 * p^(1/2) * log2(p)"
+        fitted = model(("p",), 1.0, (2.0, ((F(1, 2), 1),)))
+        assert render(fitted) == "1 + 2 * p^(1/2) * log2(p)"
 
     def test_ranks_fraction_rendered(self):
         skel = Skeleton(
@@ -190,8 +176,8 @@ class TestRender:
                 BasisFunction(((F(0), 0), (F(1), 0)), ranks_fraction="p"),
             ),
         )
-        model = model_from_skeleton(skel, (1.0, 2.0, 3.0))
-        assert render(model) == "1 + 2 * log2(p) + 3 * n * (p-1)/p"
+        fitted = PmnfModel(skel, (1.0, 2.0, 3.0))
+        assert render(fitted) == "1 + 2 * log2(p) + 3 * n * (p-1)/p"
 
     def test_distinct_models_render_distinct(self):
         rng = np.random.default_rng(7)
@@ -203,17 +189,16 @@ class TestRender:
             if i == 0 and j == 0:
                 continue
             c = round(float(rng.uniform(0.5, 5)), 3)
-            model = PmnfModel(1.0, (Term(c, ((i, j),)),), ("x",))
-            text = render(model)
+            text = render(model(("x",), 1.0, (c, ((i, j),))))
             key = (i, j, c)
             assert seen.get(text, key) == key
             seen[text] = key
 
     def test_terms_ordered_by_signature(self):
-        t_big = Term(1.0, ((F(2), 0),))
-        t_small = Term(1.0, ((F(1), 0),))
-        a = PmnfModel(0.5, (t_big, t_small), ("x",))
-        b = PmnfModel(0.5, (t_small, t_big), ("x",))
+        t_big = (1.0, ((F(2), 0),))
+        t_small = (1.0, ((F(1), 0),))
+        a = model(("x",), 0.5, t_big, t_small)
+        b = model(("x",), 0.5, t_small, t_big)
         assert render(a) == render(b) == "0.5 + 1 * x + 1 * x^2"
 
 
@@ -229,12 +214,11 @@ class TestSkeletonInvariants:
 
     def test_term_cannot_be_all_zero(self):
         with pytest.raises(ValidationError):
-            Term(1.0, ((F(0), 0),))
+            model(("x",), 0.0, (1.0, ((F(0), 0),)))
 
     def test_model_rejects_duplicate_signatures(self):
-        t = Term(1.0, ((F(1), 0),))
         with pytest.raises(ValidationError):
-            PmnfModel(0.0, (t, Term(2.0, ((F(1), 0),))), ("x",))
+            model(("x",), 0.0, (1.0, ((F(1), 0),)), (2.0, ((F(1), 0),)))
 
     def test_ranks_fraction_param_must_exist(self):
         with pytest.raises(ValidationError):
@@ -243,9 +227,13 @@ class TestSkeletonInvariants:
                 (constant_basis(1), BasisFunction(((F(1), 0),), ranks_fraction="q")),
             )
 
+    def test_needs_a_parameter_name(self):
+        with pytest.raises(ValidationError, match="parameter name"):
+            Skeleton((), (constant_basis(0),))
+
 
 class TestSkeletonModelConversion:
     def test_coefficient_count_checked(self):
         skel = Skeleton(("x",), (constant_basis(1),))
         with pytest.raises(ValidationError):
-            model_from_skeleton(skel, [1.0, 2.0])
+            PmnfModel(skel, [1.0, 2.0])

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import fig2_spec, skeleton_lead
+from conftest import fig2_spec, fitted_terms
 from oracle import exhaustive_oracle
 from perfprior import modeler
 from perfprior.benchgen import simulate_measurements
@@ -182,7 +182,7 @@ class TestModelEffort:
     def test_bytes_scaling_recovered(self):
         spec = fig2_spec()
         exp = simulate_measurements(spec, reps=1)
-        lead = skeleton_lead(model_effort(exp, "k00/broadcast"))
+        lead = leading_exponents(model_effort(exp, "k00/broadcast"))
         assert lead["n"] == (F(1), 0) and lead["p"] == (F(1), 0)
         oracle = exhaustive_oracle(
             {
@@ -192,7 +192,7 @@ class TestModelEffort:
             "multi_restricted",
             exp.space,
         )
-        assert leading_exponents(oracle) == lead
+        assert leading_exponents(oracle.skeleton) == lead
 
     def test_zero_bytes_gives_zero_constant(self, pn_space):
         from perfprior.dataset import CallPath, ExperimentSet, MetricSeries
@@ -214,8 +214,8 @@ class TestModelEffort:
         structure = model_effort(exp, "b/barrier")
         zero_medians = dict.fromkeys(pn_space.grid(), 0.0)
         model = modeler.fit_skeleton_to_time(structure, zero_medians)
-        assert model.terms == ()
-        assert model.constant == 0.0
+        assert model.skeleton.bases[1:] == ()
+        assert model.coefficients[0] == 0.0
 
     def test_quadratic_blocks(self, pn_space):
         from perfprior.dataset import CallPath, ExperimentSet, MetricSeries
@@ -234,7 +234,7 @@ class TestModelEffort:
                 ),
             ),
         )
-        assert skeleton_lead(model_effort(exp, "w/loop"))["n"][0] == F(2)
+        assert leading_exponents(model_effort(exp, "w/loop"))["n"][0] == F(2)
 
     def test_missing_metric_names_callpath(self, pn_space):
         from perfprior.dataset import CallPath, ExperimentSet, MetricSeries
@@ -272,10 +272,10 @@ class TestBuildSwcModel:
         spec = fig2_spec()
         exp = simulate_measurements(spec, reps=1)
         comp = build_swc_model(exp, "k00/compute")
-        lead = leading_exponents(comp)
+        lead = leading_exponents(comp.skeleton)
         assert lead["n"] == (F(1), 0) and lead["p"] == (F(1), 0)
         comm = build_swc_model(exp, "k00/broadcast")
-        lead = leading_exponents(comm)
+        lead = leading_exponents(comm.skeleton)
         assert lead["n"][0] == F(1)
         assert lead["p"][0] == F(1)  # from the n*p payload term
 
@@ -286,9 +286,10 @@ class TestBuildSwcModel:
         for name in ("k00/compute", "k00/broadcast"):
             clean_model = build_swc_model(exp, name)
             noisy_model = build_swc_model(noisy, name)
-            assert leading_exponents(clean_model) == leading_exponents(noisy_model)
-            assert [t.exponents for t in clean_model.terms] == [
-                t.exponents for t in noisy_model.terms
+            clean_skel, noisy_skel = clean_model.skeleton, noisy_model.skeleton
+            assert leading_exponents(clean_skel) == leading_exponents(noisy_skel)
+            assert [b.exponents for b in clean_skel.bases[1:]] == [
+                b.exponents for b in noisy_skel.bases[1:]
             ]
 
     def test_coefficients_recovered_exactly(self):
@@ -296,11 +297,11 @@ class TestBuildSwcModel:
         exp = simulate_measurements(spec, reps=1)
         kernel = spec.kernels[0]
         comp = build_swc_model(exp, "k00/compute")
-        got = {t.exponents: t.coefficient for t in comp.terms}
-        for term in kernel.computation_terms:
-            assert got[term.exponents] == pytest.approx(term.coefficient, rel=1e-6)
+        got = fitted_terms(comp)
+        for c, basis in kernel.computation_terms:
+            assert got[basis.exponents] == pytest.approx(c, rel=1e-6)
         comm = build_swc_model(exp, "k00/broadcast")
-        got = {t.exponents: t.coefficient for t in comm.terms}
+        got = fitted_terms(comm)
         log_term = ((F(0), 1), (F(0), 0))
         payload_term = ((F(1), 0), (F(1), 0))
         assert got[log_term] == pytest.approx(kernel.true_alpha, rel=1e-6)
