@@ -148,6 +148,9 @@ class MetricSeries:
         rep_ids = tuple(int(i) for i in self.rep_ids) or tuple(range(data.shape[1]))
         if len(rep_ids) != data.shape[1]:
             raise ValidationError("rep_ids length does not match repetition count")
+        if min(rep_ids) < 0:
+            # They seed the noise streams, which take non-negative words.
+            raise ValidationError("rep_ids must be non-negative")
         object.__setattr__(self, "rep_ids", rep_ids)
 
     def __eq__(self, other):

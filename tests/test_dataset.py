@@ -290,6 +290,11 @@ class TestExperimentValidation:
         with pytest.raises(ValidationError, match="a non-number"):
             MetricSeries([("fast",), (1.0,)])
 
+    def test_negative_rep_id_rejected(self):
+        # A rep_id seeds a noise stream, whose word split never ends for -1.
+        with pytest.raises(ValidationError, match="rep_ids must be non-negative"):
+            MetricSeries([(1.0, 2.0)], (0, -1))
+
     def test_unequal_rep_lengths_in_file_rejected(self, tmp_path):
         doc = experiment_to_dict(small_experiment())
         doc["callpaths"][0]["metrics"]["time_s"][1]["repetitions"].pop()
